@@ -67,10 +67,14 @@ def apply_attack(
     strategy: AttackStrategy,
     register: Register,
     groups: list[Group],
-    rng: np.random.Generator,
+    rng: np.random.Generator | qcore.TrialStreams,
     memory: EveMemory,
 ) -> Register:
-    """Interpose ``strategy`` on the travel channel, once per session."""
+    """Interpose ``strategy`` on the travel channel, once per session.
+
+    With a batched register and a ``qcore.TrialStreams`` it acts on every
+    trial at once, and the records hold one outcome per trial.
+    """
     if memory.applied:
         raise RuntimeError("attack already applied in this session")
     memory.applied = True
@@ -116,9 +120,8 @@ def apply_attack(
             if strategy is AttackStrategy.ANCILLA_CORRECTIVE:
                 kind = register.measure_bell(a1, a2, rng)
                 memory.ancilla_outcomes[g.index] = kind
-                corrected = kind in CORRECTION_TRIGGER
-                if corrected:
-                    register.apply_single(t1, CORRECTIVE_OP.matrix)
+                corrected = qcore.kind_in(kind, CORRECTION_TRIGGER)
+                register.apply_single(t1, CORRECTIVE_OP.matrix, where=corrected)
                 memory.corrections[g.index] = corrected
         else:
             raise ValueError(f"unhandled strategy {strategy}")

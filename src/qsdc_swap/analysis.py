@@ -21,11 +21,14 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import adversary as adv
 from . import protocol, qcore
 from .adversary import CORRECTION_TRIGGER, CORRECTIVE_OP, AttackStrategy, EveMemory
 from .bellmap import (
     ENCODING_OPS,
+    OP_MATRICES,
     EncodingOp,
     apply_encoding,
     correlation_table,
@@ -45,12 +48,17 @@ from .protocol import (
     Verdict,
     build_groups,
     check_passes,
+    check_policy,
     draw_op,
 )
 from .qcore import BELL_KINDS, BellKind
 
 NODE_BUDGET_ENV = "QSDC_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 1_000_000
+
+# Monte Carlo trials pushed through the round as one batch.  A batch's
+# widest factor has 6 qubits, so its amplitudes take 1 MiB.
+MC_CHUNK = 1024
 
 IDENTITY_TOL = 1e-9
 
@@ -598,13 +606,21 @@ def monte_carlo(
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
 ) -> MonteCarloResult:
     """Sampled single-group checking rounds through the live protocol and
-    adversary stack; per-trial streams keyed by (seed, trial index)."""
+    adversary stack.
+
+    Trial ``t`` consumes the leading draws of ``make_rng(seed, t)``.  The
+    trials run in chunks of ``MC_CHUNK``: each chunk is one batched
+    register pushed once through the round, and ``qcore.TrialStreams``
+    hands every trial exactly its own stream's draws, so the counts do not
+    depend on the chunk size.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
     policy = UNIFORM_POLICY if policy is None else policy
+    check_policy(policy)
     failures = {pred: 0 for pred in DetectionPredicate}
-    for trial in range(trials):
-        rng = qcore.make_rng(seed, trial)
+    for start in range(0, trials, MC_CHUNK):
+        rng = qcore.TrialStreams(seed, start, min(start + MC_CHUNK, trials))
         register = Register(
             [qcore.make_bell(_PSI, 1, 2), qcore.make_bell(_PSI, 3, 4)]
         )
@@ -612,12 +628,13 @@ def monte_carlo(
         memory = EveMemory(strategy=strategy)
         adv.apply_attack(strategy, register, [group], rng, memory)
         op = draw_op(policy, rng)
-        register.apply_single(group.travel_photon(encode_target), op.matrix)
+        register.apply_single(group.travel_photon(encode_target), OP_MATRICES[op])
         alice = register.measure_bell(*group.alice_qubits, rng)
         bob = register.measure_bell(*group.bob_qubits, rng)
         for pred in DetectionPredicate:
-            if not check_passes(pred, op, bob, alice):
-                failures[pred] += 1
+            failures[pred] += len(rng) - int(
+                np.count_nonzero(check_passes(pred, op, bob, alice))
+            )
     return MonteCarloResult(
         strategy=strategy, trials=trials, seed=seed, failures=failures
     )
@@ -825,8 +842,14 @@ def detection_report(
     policy: Mapping[EncodingOp, float] | None = None,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
     mc: MonteCarloResult | None = None,
+    leakage: float | None = None,
+    fidelity: float | None = None,
 ) -> DetectionReport:
-    """Assemble exact, algebraic, and (optionally) sampled figures."""
+    """Assemble exact, algebraic, and (optionally) sampled figures.
+
+    ``mc``, ``leakage`` and ``fidelity`` pass in figures already computed
+    for this strategy and encode target; none depends on the predicate.
+    """
     p_exact = exact_detection(strategy, predicate, policy, encode_target)
     p_algebra = detection_from_swap_algebra(strategy, predicate, policy, encode_target)
     if mc is None and trials > 0:
@@ -842,8 +865,12 @@ def detection_report(
         ci=mc.ci(predicate) if mc else None,
         trials=mc.trials if mc else 0,
         seed=mc.seed if mc else seed,
-        eve_guess_accuracy=exact_leakage(strategy, encode_target),
-        honest_fidelity=honest_fidelity(strategy, encode_target),
+        eve_guess_accuracy=(
+            exact_leakage(strategy, encode_target) if leakage is None else leakage
+        ),
+        honest_fidelity=(
+            honest_fidelity(strategy, encode_target) if fidelity is None else fidelity
+        ),
         paper_claim=PAPER_CLAIMED_DETECTION[strategy],
         claim_note=DETECTION_CLAIM_NOTES[strategy],
     )
@@ -866,12 +893,17 @@ def leakage_report(
 
 def sweep_report(trials: int, seed: int) -> dict:
     """All strategies under both predicates, exact figures beside the
-    claimed reference values and a shared Monte Carlo run per strategy."""
+    claimed reference values; the Monte Carlo run, leakage and fidelity
+    are computed once per strategy and shared by both predicates' rows."""
     rows = []
     for strategy in AttackStrategy:
         mc = monte_carlo(strategy, trials, seed) if trials > 0 else None
+        leakage = exact_leakage(strategy)
+        fidelity = honest_fidelity(strategy)
         for predicate in DetectionPredicate:
-            report = detection_report(strategy, predicate, mc=mc)
+            report = detection_report(
+                strategy, predicate, mc=mc, leakage=leakage, fidelity=fidelity
+            )
             rows.append(report.to_json_dict())
     return {"mode": "sweep", "trials": trials, "seed": seed, "rows": rows}
 

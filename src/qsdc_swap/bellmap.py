@@ -64,6 +64,11 @@ _OP_MATRIX = {
 
 _BITS_OP = {op.bits: op for op in ENCODING_OPS}
 
+# The coding matrices stacked in ENCODING_OPS order, so that an int array
+# of drawn op indices selects one matrix per trial.
+OP_MATRICES = np.stack([_OP_MATRIX[op] for op in ENCODING_OPS])
+OP_MATRICES.flags.writeable = False
+
 # Two-bit labels (letter flip, sign flip); the swap support rule and the
 # encoding orbit are both XORs in this labeling.
 _KIND_LABEL = {
@@ -180,9 +185,30 @@ def correlation_table() -> Mapping[EncodingOp, frozenset[tuple[BellKind, BellKin
     return MappingProxyType(table)
 
 
-def is_correlated(op: EncodingOp, bob: BellKind, alice: BellKind) -> bool:
-    """Membership test in the correlation column for ``op``."""
-    return (bob, alice) in correlation_table()[op]
+def is_correlated(
+    op: EncodingOp | np.ndarray, bob: BellKind | np.ndarray, alice: BellKind | np.ndarray
+) -> bool | np.ndarray:
+    """Membership test in the correlation column for ``op``.
+
+    Batched outcomes, int arrays indexing ENCODING_OPS and BELL_KINDS,
+    give one bool per trial.
+    """
+    if isinstance(bob, BellKind):
+        return (bob, alice) in correlation_table()[op]
+    if isinstance(op, EncodingOp):
+        op = ENCODING_OPS.index(op)
+    return _correlation_mask()[op, bob, alice]
+
+
+@lru_cache(maxsize=None)
+def _correlation_mask() -> np.ndarray:
+    """correlation_table() as a bool array indexed [op, bob, alice]."""
+    mask = np.zeros((4, 4, 4), dtype=bool)
+    for i, op in enumerate(ENCODING_OPS):
+        for bob, alice in correlation_table()[op]:
+            mask[i, BELL_KINDS.index(bob), BELL_KINDS.index(alice)] = True
+    mask.flags.writeable = False
+    return mask
 
 
 @lru_cache(maxsize=None)

@@ -205,10 +205,19 @@ def _require_strategy(cfg: dict, parser: argparse.ArgumentParser) -> AttackStrat
         parser.error(str(exc))
 
 
+def _trials(cfg: dict, parser: argparse.ArgumentParser, default: int) -> int:
+    trials = cfg["trials"]
+    if trials is None:
+        return default
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
+        parser.error(f"--trials must be a non-negative integer, got {trials!r}")
+    return trials
+
+
 def _run_detect(cfg: dict, parser: argparse.ArgumentParser) -> int:
     strategy = _require_strategy(cfg, parser)
     predicate = DetectionPredicate(cfg["predicate"] or "announced-op")
-    trials = cfg["trials"] or 0
+    trials = _trials(cfg, parser, 0)
     if trials and cfg["seed"] is None:
         parser.error("--trials needs --seed")
     report = analysis.detection_report(
@@ -247,7 +256,7 @@ def _run_leakage(cfg: dict, parser: argparse.ArgumentParser) -> int:
 
 
 def _run_sweep(cfg: dict, parser: argparse.ArgumentParser) -> int:
-    trials = cfg["trials"] if cfg["trials"] is not None else 20000
+    trials = _trials(cfg, parser, 20000)
     if trials and cfg["seed"] is None:
         parser.error("sweep samples by default; give --seed (or --trials 0)")
     report = analysis.sweep_report(trials, cfg["seed"] if trials else 0)

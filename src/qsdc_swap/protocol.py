@@ -12,6 +12,11 @@ A session is a single-threaded sequential process; run many sessions in
 parallel with independent seeds.  Session state lives in a `Register`, a
 pool of product-state factors that merge only when an operation spans
 them, so sessions of any length stay inside the per-factor qubit cap.
+
+The same calls also run a batch of independent trials at once (see
+``analysis.monte_carlo``): factors then hold batched states, the RNG is a
+``qcore.TrialStreams``, and drawn ops and Bell outcomes are int arrays
+indexing ``ENCODING_OPS`` and ``BELL_KINDS``.
 """
 
 from __future__ import annotations
@@ -67,7 +72,8 @@ class DetectionPredicate(Enum):
 def check_passes(
     predicate: DetectionPredicate, op: EncodingOp, bob: BellKind, alice: BellKind
 ) -> bool:
-    """Bob's per-group comparison of announced and measured outcomes."""
+    """Bob's per-group comparison of announced and measured outcomes; one
+    bool per trial for batched outcomes."""
     if predicate is DetectionPredicate.ANNOUNCED_OP:
         return is_correlated(op, bob, alice)
     return is_correlated(EncodingOp.U0, bob, alice)
@@ -82,8 +88,30 @@ def single_op_policy(op: EncodingOp) -> Mapping[EncodingOp, float]:
     return MappingProxyType({op: 1.0})
 
 
-def draw_op(policy: Mapping[EncodingOp, float], rng: np.random.Generator) -> EncodingOp:
+def check_policy(policy: Mapping[EncodingOp, float]) -> None:
+    """Reject a checking-op policy that is not a probability distribution
+    over ``EncodingOp`` members."""
+    for key in policy:
+        if not isinstance(key, EncodingOp):
+            raise ValueError(
+                f"checking op policy keys must be EncodingOp members, got {key!r}"
+            )
+    total = sum(policy.values())
+    if abs(total - 1.0) > 1e-9 or any(w < 0 for w in policy.values()):
+        raise ValueError("checking op policy must be a probability distribution")
+
+
+def draw_op(
+    policy: Mapping[EncodingOp, float], rng: np.random.Generator | qcore.TrialStreams
+) -> EncodingOp | np.ndarray:
+    """The op whose cumulative weight first exceeds one uniform draw.
+
+    From a ``TrialStreams`` it draws one op per trial, as an int array
+    indexing ENCODING_OPS, by the same rule.
+    """
     r = rng.random()
+    if isinstance(r, np.ndarray):
+        return _draw_ops(policy, r)
     acc = 0.0
     last = None
     for op in ENCODING_OPS:
@@ -97,6 +125,18 @@ def draw_op(policy: Mapping[EncodingOp, float], rng: np.random.Generator) -> Enc
     if last is None:
         raise ValueError("op policy has no positive weight")
     return last
+
+
+def _draw_ops(policy: Mapping[EncodingOp, float], r: np.ndarray) -> np.ndarray:
+    weighted = [(i, policy.get(op, 0.0)) for i, op in enumerate(ENCODING_OPS)]
+    weighted = [(i, w) for i, w in weighted if w > 0.0]
+    if not weighted:
+        raise ValueError("op policy has no positive weight")
+    index = np.array([i for i, _ in weighted])
+    # cumsum adds in draw_op's order; searchsorted finds the first
+    # cumulative weight above r, and past the last one draw_op keeps it.
+    first = np.searchsorted(np.cumsum([w for _, w in weighted]), r, side="right")
+    return index[np.minimum(first, len(index) - 1)]
 
 
 @dataclass
@@ -157,9 +197,7 @@ class SessionConfig:
                 f"message of {len(self.message_bits)} bits does not match "
                 f"capacity {self.capacity}"
             )
-        total = sum(self.checking_op_policy.values())
-        if abs(total - 1.0) > 1e-9 or any(w < 0 for w in self.checking_op_policy.values()):
-            raise ValueError("checking op policy must be a probability distribution")
+        check_policy(self.checking_op_policy)
 
     @property
     def n_encoding(self) -> int:
@@ -177,6 +215,9 @@ class Register:
     measured pairs drop out, so independent groups never inflate each
     other's tensors.  ``touched`` records every qubit an operation has
     addressed, which lets tests audit an adversary's reach.
+
+    Factors may be batched states (one per trial); single-state factors
+    then act as the same state in every trial.
     """
 
     def __init__(self, states: Iterable[StateVector] = ()):
@@ -241,7 +282,15 @@ class Register:
         """The (merged) factor holding the given qubits."""
         return self._factors[self._merge(qubits)]
 
-    def apply_single(self, q: int, matrix: np.ndarray) -> None:
+    def apply_single(
+        self, q: int, matrix: np.ndarray, where: bool | np.ndarray = True
+    ) -> None:
+        """Apply ``matrix`` to ``q`` if ``where`` holds; a bool array
+        applies it only in the trials of a batch where it is True."""
+        if isinstance(where, np.ndarray):
+            matrix = np.where(where[:, None, None], matrix, qcore.U0)
+        elif not where:
+            return
         self.touched.add(q)
         key = self._key_of(q)
         self._factors[key] = qcore.apply_single(self._factors[key], q, matrix)
@@ -259,7 +308,9 @@ class Register:
         else:
             del self._factors[key]
 
-    def measure_bell(self, a: int, b: int, rng: np.random.Generator) -> BellKind:
+    def measure_bell(
+        self, a: int, b: int, rng: np.random.Generator | qcore.TrialStreams
+    ) -> BellKind | np.ndarray:
         """Sample a Bell measurement of ``(a, b)`` and collapse in place."""
         self.touched |= {a, b}
         key = self._merge((a, b))

@@ -20,8 +20,8 @@ from qsdc_swap.analysis import (
     sweep_csv,
     sweep_report,
 )
-from qsdc_swap.bellmap import ENCODING_OPS
-from qsdc_swap.protocol import DetectionPredicate, EncodeTarget, Verdict
+from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp
+from qsdc_swap.protocol import DetectionPredicate, EncodeTarget, Verdict, single_op_policy
 from qsdc_swap.qcore import BELL_KINDS
 
 STRATEGIES = list(AttackStrategy)
@@ -254,3 +254,100 @@ def test_sweep_report_and_csv():
     assert lines[0].startswith("strategy,predicate,")
     resend_rows = [l for l in lines if l.startswith("measure-resend,announced-op")]
     assert resend_rows and ",0," in resend_rows[0]
+
+
+# ---------------------------------------------------------------------------
+# batched Monte Carlo reproduces the per-trial sampler
+# ---------------------------------------------------------------------------
+
+# (announced-op, strict-u0) failures of monte_carlo(strategy, 3000, seed,
+# policy, target), frozen from the implementation that looped over trials
+# with one make_rng(seed, t) each.  3000 trials end in a partial chunk.
+FROZEN_MC_FAILURES = {
+    ("none", 7, "uniform-second"): (0, 2258),
+    ("none", 7, "uniform-first"): (0, 2258),
+    ("none", 7, "u2-second"): (0, 3000),
+    ("none", 501, "uniform-second"): (0, 2249),
+    ("none", 501, "uniform-first"): (0, 2249),
+    ("none", 501, "u2-second"): (0, 3000),
+    ("measure-resend", 7, "uniform-second"): (0, 2235),
+    ("measure-resend", 7, "uniform-first"): (0, 2235),
+    ("measure-resend", 7, "u2-second"): (0, 3000),
+    ("measure-resend", 501, "uniform-second"): (0, 2271),
+    ("measure-resend", 501, "uniform-first"): (0, 2271),
+    ("measure-resend", 501, "u2-second"): (0, 3000),
+    ("replace-after", 7, "uniform-second"): (2259, 2260),
+    ("replace-after", 7, "uniform-first"): (2259, 2260),
+    ("replace-after", 7, "u2-second"): (2229, 2260),
+    ("replace-after", 501, "uniform-second"): (2275, 2300),
+    ("replace-after", 501, "uniform-first"): (2275, 2300),
+    ("replace-after", 501, "u2-second"): (2213, 2300),
+    ("replace-before", 7, "uniform-second"): (2253, 2259),
+    ("replace-before", 7, "uniform-first"): (2253, 2259),
+    ("replace-before", 7, "u2-second"): (2253, 2282),
+    ("replace-before", 501, "uniform-second"): (2252, 2275),
+    ("replace-before", 501, "uniform-first"): (2252, 2275),
+    ("replace-before", 501, "u2-second"): (2252, 2238),
+    ("ancilla-passive", 7, "uniform-second"): (1484, 2246),
+    ("ancilla-passive", 7, "uniform-first"): (1484, 2246),
+    ("ancilla-passive", 7, "u2-second"): (1530, 3000),
+    ("ancilla-passive", 501, "uniform-second"): (1492, 2247),
+    ("ancilla-passive", 501, "uniform-first"): (1492, 2247),
+    ("ancilla-passive", 501, "u2-second"): (1506, 3000),
+    ("ancilla-corrective", 7, "uniform-second"): (0, 2235),
+    ("ancilla-corrective", 7, "uniform-first"): (0, 2235),
+    ("ancilla-corrective", 7, "u2-second"): (0, 3000),
+    ("ancilla-corrective", 501, "uniform-second"): (0, 2271),
+    ("ancilla-corrective", 501, "uniform-first"): (0, 2271),
+    ("ancilla-corrective", 501, "u2-second"): (0, 3000),
+}
+
+MC_SETTINGS = {
+    "uniform-second": (None, EncodeTarget.SECOND_TRAVEL_PHOTON),
+    "uniform-first": (None, EncodeTarget.FIRST_TRAVEL_PHOTON),
+    "u2-second": (single_op_policy(EncodingOp.U2), EncodeTarget.SECOND_TRAVEL_PHOTON),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_MC_FAILURES))
+def test_monte_carlo_reproduces_frozen_failure_counts(key):
+    strategy, seed, setting = key
+    policy, target = MC_SETTINGS[setting]
+    mc = monte_carlo(AttackStrategy(strategy), 3000, seed, policy, target)
+    got = (
+        mc.failures[DetectionPredicate.ANNOUNCED_OP],
+        mc.failures[DetectionPredicate.STRICT_U0],
+    )
+    assert got == FROZEN_MC_FAILURES[key]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_monte_carlo_counts_do_not_depend_on_chunk_size(strategy, monkeypatch):
+    reference = monte_carlo(strategy, 100, seed=3)
+    monkeypatch.setattr(analysis, "MC_CHUNK", 7)
+    assert monte_carlo(strategy, 100, seed=3) == reference
+
+
+def test_monte_carlo_rejects_policy_keyed_by_name():
+    with pytest.raises(ValueError, match="EncodingOp"):
+        monte_carlo(AttackStrategy.NONE, 10, seed=0, policy={"u0": 1.0})
+
+
+def test_sweep_computes_leakage_and_fidelity_once_per_strategy(monkeypatch):
+    calls = {"leakage": 0, "fidelity": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(analysis, "exact_leakage", counted("leakage", exact_leakage))
+    monkeypatch.setattr(analysis, "honest_fidelity", counted("fidelity", honest_fidelity))
+    report = sweep_report(trials=0, seed=0)
+    assert calls == {"leakage": len(STRATEGIES), "fidelity": len(STRATEGIES)}
+    for row in report["rows"]:
+        strategy = AttackStrategy(row["strategy"])
+        assert row["eve_guess_accuracy"] == exact_leakage(strategy)
+        assert row["honest_fidelity"] == honest_fidelity(strategy)

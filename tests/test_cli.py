@@ -160,6 +160,29 @@ def test_sweep_exact_only_csv(tmp_path):
     assert lines[0].startswith("strategy,predicate,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "sweep", "--trials", "-5", "--seed", "1"),
+        ("--mode", "detect", "--strategy", "none", "--trials", "-5", "--seed", "1"),
+    ],
+)
+def test_negative_trials_exit_2(argv, tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--out", str(out))
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+def test_config_file_negative_trials_exit_2(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mode": "sweep", "trials": -5, "seed": 1}))
+    with pytest.raises(SystemExit) as err:
+        run_cli("--config", str(cfg))
+    assert err.value.code == 2
+
+
 def test_sweep_sampling_requires_seed():
     with pytest.raises(SystemExit) as err:
         run_cli("--mode", "sweep", "--trials", "50")

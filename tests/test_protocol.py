@@ -24,6 +24,8 @@ from qsdc_swap.protocol import (
     prepare_session,
     run_checking,
     run_encoding,
+    check_policy,
+    draw_op,
     run_session,
     single_op_policy,
 )
@@ -31,6 +33,7 @@ from qsdc_swap.qcore import (
     BELL_KINDS,
     BellKind,
     QubitError,
+    TrialStreams,
     make_bell,
     make_rng,
     overlap,
@@ -284,3 +287,47 @@ def test_register_touched_audit():
     register.apply_single(2, EncodingOp.U1.matrix)
     register.measure_bell(2, 4, make_rng(1))
     assert register.touched == {2, 4}
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [{"u0": 1.0}, {EncodingOp.U0: 0.5, "u1": 0.5}, {0: 1.0}],
+)
+def test_policy_keys_must_be_encoding_ops(policy):
+    with pytest.raises(ValueError, match="EncodingOp"):
+        check_policy(policy)
+    with pytest.raises(ValueError, match="EncodingOp"):
+        cfg(1, 1, checking_op_policy=policy)
+
+
+def test_policy_must_be_a_distribution():
+    check_policy(single_op_policy(EncodingOp.U3))
+    for policy in ({EncodingOp.U0: 0.5}, {EncodingOp.U0: 1.5, EncodingOp.U1: -0.5}):
+        with pytest.raises(ValueError, match="probability distribution"):
+            cfg(1, 1, checking_op_policy=policy)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {op: 0.25 for op in ENCODING_OPS},
+        {EncodingOp.U1: 0.3, EncodingOp.U3: 0.7},
+        single_op_policy(EncodingOp.U2),
+    ],
+)
+def test_draw_op_batch_matches_per_trial_draws(policy):
+    drawn = draw_op(policy, TrialStreams(9, 0, 300))
+    expected = [draw_op(policy, make_rng(9, t)) for t in range(300)]
+    assert [ENCODING_OPS[i] for i in drawn] == expected
+
+
+def test_register_apply_single_where_mask():
+    plus = make_bell(BellKind.PSI_PLUS, 1, 2)
+    minus = make_bell(BellKind.PSI_MINUS, 1, 2)
+    register = Register([plus])
+    register.apply_single(2, EncodingOp.U1.matrix, where=False)
+    assert register.factor_state(1, 2) is plus
+    register.apply_single(2, EncodingOp.U1.matrix, where=np.array([True, False]))
+    amps = register.factor_state(1, 2).amps
+    assert abs(abs(np.vdot(minus.amps, amps[0])) - 1.0) < 1e-12
+    np.testing.assert_allclose(amps[1], plus.amps, atol=1e-15)

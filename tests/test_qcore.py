@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qsdc_swap.analysis import MC_CHUNK
 from qsdc_swap.qcore import (
     BELL_KINDS,
     BellKind,
@@ -22,8 +23,10 @@ from qsdc_swap.qcore import (
     compose,
     equal_up_to_phase,
     make_bell,
+    TrialStreams,
     make_rng,
     overlap,
+    philox_block,
     sample_bell,
     single_qubit,
 )
@@ -288,6 +291,87 @@ def test_rng_streams_are_independent():
     a = [make_rng(5, 1).random() for _ in range(4)]
     b = [make_rng(5, 2).random() for _ in range(4)]
     assert a != b
+
+
+# ---------------------------------------------------------------------------
+# per-trial streams and batched states
+# ---------------------------------------------------------------------------
+
+PHILOX_SEEDS = [0, 7, 2**63 + 5, -3]
+# Trial ranges straddling the first and second Monte Carlo chunk boundary.
+CHUNK_STRADDLES = [(MC_CHUNK - 3, MC_CHUNK + 4), (2 * MC_CHUNK - 1, 2 * MC_CHUNK + 2)]
+
+
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
+@pytest.mark.parametrize("start,stop", CHUNK_STRADDLES)
+def test_trial_streams_match_make_rng(seed, start, stop):
+    streams = TrialStreams(seed, start, stop)
+    assert len(streams) == stop - start
+    # 9 draws cross two Philox blocks of four
+    got = np.stack([streams.random() for _ in range(9)], axis=1)
+    for row, trial in zip(got, range(start, stop)):
+        rng = make_rng(seed, trial)
+        assert row.tolist() == [rng.random() for _ in range(9)]
+
+
+@pytest.mark.parametrize("seed", PHILOX_SEEDS)
+@pytest.mark.parametrize("start,stop", CHUNK_STRADDLES)
+def test_philox_block_matches_numpy_philox(seed, start, stop):
+    trials = np.arange(start, stop, dtype=np.uint64)
+    got = np.hstack([philox_block(seed, trials, k) for k in range(3)])
+    for row, trial in zip(got, range(start, stop)):
+        # a uint64 key as make_rng packs it: numpy converts a plain list
+        # key through float64, which rounds seeds past 2**53
+        key = np.array([seed % 2**64, trial], dtype=np.uint64)
+        assert row.tolist() == np.random.Philox(key=key).random_raw(12).tolist()
+
+
+def test_trial_streams_reject_bad_range():
+    with pytest.raises(ValueError):
+        TrialStreams(0, 5, 4)
+    with pytest.raises(ValueError):
+        TrialStreams(0, -1, 4)
+
+
+def test_batched_ops_match_single_states_trial_by_trial():
+    kinds = np.array([0, 1, 2, 3, 3, 1])
+    ops = np.stack([U0, U1, U2, U3, U2, U0])
+
+    def prepare(kind, op):
+        # single-state factor composed on both sides, per-trial matrix, CNOT
+        state = compose(make_bell(kind, 1, 2), single_qubit(5))
+        state = apply_cnot(apply_single(state, 2, op), 2, 5)
+        return compose(make_bell(BellKind.PSI_PLUS, 3, 4), state)
+
+    batch = prepare(kinds, ops)
+    assert batch.batch == len(kinds) and batch.qubits == (3, 4, 1, 2, 5)
+    outcomes, rest = sample_bell(batch, 2, 4, TrialStreams(11, 0, len(kinds)))
+    assert rest.qubits == (3, 1, 5) and rest.batch == len(kinds)
+    for t, (k, op) in enumerate(zip(kinds, ops)):
+        single = prepare(BELL_KINDS[k], op)
+        np.testing.assert_allclose(batch.amps[t], single.amps, atol=1e-12)
+        kind, collapsed = sample_bell(single, 2, 4, make_rng(11, t))
+        assert BELL_KINDS[outcomes[t]] is kind
+        np.testing.assert_allclose(rest.amps[t], collapsed.amps, atol=1e-12)
+
+
+def test_single_state_sampled_by_a_batch_of_streams():
+    state = compose(make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 3, 4))
+    outcomes, rest = sample_bell(state, 2, 4, TrialStreams(42, 0, 50))
+    expected = [sample_bell(state, 2, 4, make_rng(42, i)) for i in range(50)]
+    assert [BELL_KINDS[i] for i in outcomes] == [kind for kind, _ in expected]
+    np.testing.assert_allclose(rest.amps, [s.amps for _, s in expected], atol=1e-12)
+
+
+def test_batched_state_vector_validation():
+    rows = np.array([oracles.BELL_VEC["psi+"], oracles.BELL_VEC["phi-"]], dtype=complex)
+    assert StateVector((1, 2), rows).batch == 2
+    assert make_bell(BellKind.PSI_PLUS, 1, 2).batch is None
+    rows[1] *= 2.0
+    with pytest.raises(ValueError):
+        StateVector((1, 2), rows)
+    with pytest.raises(ValueError):
+        bell_branches(make_bell(np.array([0, 1]), 1, 2), 1, 2)
 
 
 # ---------------------------------------------------------------------------
