@@ -133,7 +133,7 @@ def finalize_attack(
     register: Register,
     groups: list[Group],
     memory: EveMemory,
-    rng: np.random.Generator,
+    rng: np.random.Generator | qcore.TrialStreams,
 ) -> None:
     """Eve's deferred measurements once the announcements are public."""
     if strategy is AttackStrategy.REPLACE_MEASURE_AFTER:
@@ -147,15 +147,17 @@ def eve_guess_bits(
     memory: EveMemory,
     checking_announcements: list[CheckingAnnouncement],
     encoding_announcements: list[EncodingAnnouncement],
-) -> dict[int, EncodingOp | None]:
+) -> dict[int, EncodingOp | np.ndarray | None]:
     """Eve's per-group inference of the encoded op, or None to abstain.
 
     With a recorded Bell outcome that seeds the swapped correlation she can
     invert the announcement; without one she abstains.  The ancilla
     outcomes are not inverted: a lone ancilla kind does not determine the
     pre-coding travel kind, so those strategies abstain by contract.
+    Batched records and announcements give one guess per trial, as an int
+    array indexing ENCODING_OPS.
     """
-    guesses: dict[int, EncodingOp | None] = {}
+    guesses: dict[int, EncodingOp | np.ndarray | None] = {}
     for ann in encoding_announcements:
         g = ann.group_index
         if (

@@ -3,22 +3,27 @@ each channel adversary.
 
 Detection probabilities come from two deliberately separate code paths:
 
-* tree enumeration, which walks every measurement branch of the simulated
-  register with exact probabilities, and
+* tree enumeration, which replays the live adversary and protocol code
+  (the round ``monte_carlo`` samples) under scripted outcomes: every
+  random choice goes through ``qcore.choose``, and each replay extends
+  every outcome prefix by all outcomes of its next choice, with exact
+  weights, and
 * swap-algebra arithmetic, which never touches amplitudes and works only
   with the cached decomposition tables.
 
-Reports carry both, next to the claimed reference value where one exists;
-Monte Carlo sampling exists to validate the exact numbers and to cover
-configurations whose enumeration would blow the node budget (set via the
-``QSDC_NODE_BUDGET`` environment variable, default one million nodes).
+Detection, leakage and fidelity are reductions of one single-group leaf
+set.  Reports carry both routes, next to the claimed reference value where
+one exists; Monte Carlo sampling exists to validate the exact numbers and
+to cover configurations whose enumeration would blow the node budget (set
+via the ``QSDC_NODE_BUDGET`` environment variable, default one million
+replayed rows).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,28 +33,25 @@ from . import protocol, qcore
 from .adversary import CORRECTION_TRIGGER, CORRECTIVE_OP, AttackStrategy, EveMemory
 from .bellmap import (
     ENCODING_OPS,
-    OP_MATRICES,
     EncodingOp,
     apply_encoding,
     correlation_table,
     decode_op,
-    invert_encoding,
+    is_correlated,
     kind_label,
-    op_for_bits,
     swap_decompose,
     swap_support_rule,
 )
 from .protocol import (
     DetectionPredicate,
     EncodeTarget,
-    Group,
-    Register,
+    EncodingAnnouncement,
+    GroupRole,
+    SessionConfig,
     UNIFORM_POLICY,
     Verdict,
-    build_groups,
     check_passes,
-    check_policy,
-    draw_op,
+    prepare_registers,
 )
 from .qcore import BELL_KINDS, BellKind
 
@@ -67,21 +69,6 @@ _PSI = BellKind.PSI_PLUS
 
 class EnumerationBudgetError(RuntimeError):
     """The enumeration tree outgrew the configured node budget."""
-
-
-class _NodeCounter:
-    def __init__(self, budget: int | None = None):
-        if budget is None:
-            budget = int(os.environ.get(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET))
-        self.budget = budget
-        self.count = 0
-
-    def tick(self, k: int = 1) -> None:
-        self.count += k
-        if self.count > self.budget:
-            raise EnumerationBudgetError(
-                f"enumeration exceeded the {self.budget}-node budget"
-            )
 
 
 # Sign of each kind's coefficient in the plus-pair product decomposition.
@@ -183,78 +170,142 @@ def session_detection(p: float, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-group scenario enumeration (tree route)
+# tree route: the live code replayed under scripted outcomes
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_attack_on_group(
-    strategy: AttackStrategy,
-    register: Register,
-    pair: tuple[int, int],
-    counter: _NodeCounter,
-) -> list[tuple[float, Register, tuple[int, int], tuple | None]]:
-    """Enumerate Eve's channel action on one group.
+class _Script:
+    """Outcome source that replays one outcome prefix per batch row.
 
-    Returns (probability, register clone, forwarded travel pair, record)
-    branches; the record mirrors what the sampling attack would remember.
+    Choices past the prefixes take each row's likeliest outcome, and the
+    first of them records every row's outcome probabilities in ``open``.
     """
-    t1, t2 = pair
-    if strategy is AttackStrategy.NONE:
-        counter.tick()
-        return [(1.0, register, pair, None)]
 
-    if strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND:
-        out = []
-        for p, reg, kind in register.enumerate_bell(t1, t2):
-            counter.tick()
-            fresh = reg.allocate(2)
-            reg.add(qcore.make_bell(kind, *fresh))
-            out.append((p, reg, fresh, ("travel", kind)))
-        return out
+    def __init__(self, prefixes: np.ndarray):
+        self.prefixes = prefixes
+        self.depth = 0
+        self.open: np.ndarray | None = None
 
-    if strategy in (
-        AttackStrategy.REPLACE_MEASURE_AFTER,
-        AttackStrategy.REPLACE_MEASURE_BEFORE,
-    ):
-        base = register.clone()
-        k1, f1, k2, f2 = base.allocate(4)
-        base.add(qcore.make_bell(_PSI, k1, f1))
-        base.add(qcore.make_bell(_PSI, k2, f2))
-        if strategy is AttackStrategy.REPLACE_MEASURE_AFTER:
-            counter.tick()
-            return [(1.0, base, (f1, f2), ("kept", (k1, k2)))]
-        out = []
-        for p1, reg1, e1 in base.enumerate_bell(k1, t1):
-            for p2, reg2, e2 in reg1.enumerate_bell(k2, t2):
-                counter.tick()
-                out.append((p1 * p2, reg2, (f1, f2), ("cross", e1, e2)))
-        return out
-
-    if strategy in (AttackStrategy.ANCILLA_PASSIVE, AttackStrategy.ANCILLA_CORRECTIVE):
-        base = register.clone()
-        a1, a2 = base.allocate(2)
-        base.add(qcore.single_qubit(a1))
-        base.add(qcore.single_qubit(a2))
-        base.apply_cnot(t1, a1)
-        base.apply_cnot(t2, a2)
-        if strategy is AttackStrategy.ANCILLA_PASSIVE:
-            counter.tick()
-            return [(1.0, base, pair, ("ancilla", (a1, a2)))]
-        out = []
-        for p, reg, kind in base.enumerate_bell(a1, a2):
-            counter.tick()
-            corrected = kind in CORRECTION_TRIGGER
-            if corrected:
-                reg.apply_single(t1, CORRECTIVE_OP.matrix)
-            out.append((p, reg, pair, ("ancilla-outcome", kind, corrected)))
-        return out
-
-    raise ValueError(f"unhandled strategy {strategy}")
+    def choose(self, probs) -> np.ndarray:
+        probs = np.broadcast_to(probs, (len(self.prefixes), np.shape(probs)[-1]))
+        self.depth += 1
+        if self.depth <= self.prefixes.shape[1]:
+            return self.prefixes[:, self.depth - 1]
+        if self.open is None:
+            self.open = probs
+        return probs.argmax(axis=-1)
 
 
-def _policy_items(policy: Mapping[EncodingOp, float] | None) -> list[tuple[EncodingOp, float]]:
+def _replay(round_fn, node_budget: int | None):
+    """Every outcome history of ``round_fn(rng)``, breadth first.
+
+    Each pass replays the round on all prefixes so far and extends every
+    row by each non-negligible outcome of its first unscripted choice.
+    Returns the prefixes in lexicographic order, their exact weights and
+    the last pass's result, which holds one outcome per history.  Rows
+    replayed over all passes count against the node budget.
+    """
+    if node_budget is None:
+        node_budget = int(os.environ.get(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET))
+    prefixes = np.zeros((1, 0), dtype=np.intp)
+    weights = np.ones(1)
+    replayed = 0
+    while True:
+        replayed += len(prefixes)
+        if replayed > node_budget:
+            raise EnumerationBudgetError(
+                f"enumeration exceeded the {node_budget}-node budget"
+            )
+        script = _Script(prefixes)
+        result = round_fn(script)
+        if script.open is None:
+            return prefixes, weights, result
+        rows, outcomes = np.nonzero(script.open >= qcore.MIN_BRANCH_PROB)
+        weights = weights[rows] * script.open[rows, outcomes]
+        prefixes = np.column_stack([prefixes[rows], outcomes])
+
+
+def _session_round(cfg: SessionConfig, strategy: AttackStrategy, checking: set[int], rng):
+    """``run_session`` up to its verdict, with the groups in ``checking``
+    checking: the round that sampling and enumeration share."""
+    register, groups = prepare_registers(cfg)
+    groups = [
+        replace(g, role=GroupRole.CHECKING if g.index in checking else GroupRole.ENCODING)
+        for g in groups
+    ]
+    memory = EveMemory(strategy=strategy)
+    adv.apply_attack(strategy, register, groups, rng, memory)
+    chk = protocol.run_checking(
+        register,
+        groups,
+        rng,
+        policy=cfg.checking_op_policy,
+        encode_target=cfg.encode_target,
+        predicate=cfg.predicate,
+    )
+    return register, groups, memory, chk
+
+
+def _one_group_config(policy, encode_target) -> SessionConfig:
+    """The session of one checking group that the single-group figures use."""
     policy = UNIFORM_POLICY if policy is None else policy
-    return [(op, w) for op in ENCODING_OPS for w in (policy.get(op, 0.0),) if w > 0.0]
+    return SessionConfig(1, 1, checking_op_policy=policy, encode_target=encode_target)
+
+
+@dataclass(frozen=True, eq=False)
+class GroupLeaves:
+    """Every history of one checking group: its weight, the drawn op, both
+    Bell outcomes (int arrays indexing ENCODING_OPS and BELL_KINDS) and
+    Eve's guess of the op, None where her rule abstains."""
+
+    prob: np.ndarray
+    op: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
+    guess: np.ndarray | None
+
+    def detection(self, predicate: DetectionPredicate) -> float:
+        """Chance that the group fails the check."""
+        return _total(self.prob[~check_passes(predicate, self.op, self.bob, self.alice)])
+
+    def leakage(self) -> float:
+        """Chance that Eve's guess is the op; abstaining scores 1/4."""
+        if self.guess is None:
+            return 0.25 * _total(self.prob)
+        return _total(self.prob[self.guess == self.op])
+
+    def fidelity(self) -> float:
+        """Chance that the receiver decodes the op."""
+        return _total(self.prob[is_correlated(self.op, self.bob, self.alice)])
+
+
+def _total(weights: np.ndarray) -> float:
+    """Sum the leaves one at a time in their depth-first order.  Reports
+    print exact figures to full precision, so the order of additions is
+    part of their bytes; this is the order a recursive tree walk adds in."""
+    return float(np.add.accumulate(weights)[-1]) if weights.size else 0.0
+
+
+def group_leaves(
+    strategy: AttackStrategy,
+    policy: Mapping[EncodingOp, float] | None = None,
+    encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
+    node_budget: int | None = None,
+) -> GroupLeaves:
+    """The single-group round enumerated: the checking round, then Eve's
+    deferred measurements and her guess from the announced outcome, as if
+    the group carried a message word drawn from ``policy``."""
+    cfg = _one_group_config(policy, encode_target)
+
+    def group_round(rng):
+        register, groups, memory, chk = _session_round(cfg, strategy, {1}, rng)
+        adv.finalize_attack(strategy, register, groups, memory, rng)
+        (ann,) = chk.announcements
+        guesses = adv.eve_guess_bits(memory, [], [EncodingAnnouncement(1, ann.alice_outcome)])
+        return ann.op, ann.alice_outcome, chk.bob_outcomes[1], guesses[1]
+
+    _, prob, outcomes = _replay(group_round, node_budget)
+    return GroupLeaves(prob, *outcomes)
 
 
 def exact_detection(
@@ -270,25 +321,7 @@ def exact_detection(
     measurements.  Detection is independent across groups, so the session
     figure for m groups is ``session_detection(p, m)``.
     """
-    counter = _NodeCounter(node_budget)
-    group = build_groups(1)[0]
-    register = Register(
-        [qcore.make_bell(_PSI, 1, 2), qcore.make_bell(_PSI, 3, 4)]
-    )
-    slot = 0 if encode_target is EncodeTarget.FIRST_TRAVEL_PHOTON else 1
-    fail = 0.0
-    for pe, reg, pair, _rec in _enumerate_attack_on_group(
-        strategy, register, group.alice_qubits, counter
-    ):
-        for op, w in _policy_items(policy):
-            coded = reg.clone()
-            coded.apply_single(pair[slot], op.matrix)
-            for pa, reg_a, alice in coded.enumerate_bell(*pair):
-                for pb, _reg_b, bob in reg_a.enumerate_bell(*group.bob_qubits):
-                    counter.tick()
-                    if not check_passes(predicate, op, bob, alice):
-                        fail += pe * w * pa * pb
-    return fail
+    return group_leaves(strategy, policy, encode_target, node_budget).detection(predicate)
 
 
 def exact_leakage(
@@ -296,39 +329,9 @@ def exact_leakage(
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
     node_budget: int | None = None,
 ) -> float:
-    """Exact chance Eve's guess matches the encoded op of one group.
-
-    Runs the encoding phase under the attack with detection suppressed;
-    an abstaining rule scores the two-bit chance level of 1/4.
-    """
-    counter = _NodeCounter(node_budget)
-    register = Register(
-        [qcore.make_bell(_PSI, 1, 2), qcore.make_bell(_PSI, 3, 4)]
-    )
-    slot = 0 if encode_target is EncodeTarget.FIRST_TRAVEL_PHOTON else 1
-    group = build_groups(1)[0]
-    score = 0.0
-    for pe, reg, pair, rec in _enumerate_attack_on_group(
-        strategy, register, group.alice_qubits, counter
-    ):
-        for op in ENCODING_OPS:
-            w = 0.25  # encoded words are message bits, taken uniform
-            coded = reg.clone()
-            coded.apply_single(pair[slot], op.matrix)
-            for pa, reg_a, alice in coded.enumerate_bell(*pair):
-                counter.tick()
-                base = pe * w * pa
-                if strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND:
-                    guess = invert_encoding(rec[1], alice)
-                    score += base if guess is op else 0.0
-                elif strategy is AttackStrategy.REPLACE_MEASURE_AFTER:
-                    for pk, _reg_k, kept_kind in reg_a.enumerate_bell(*rec[1]):
-                        counter.tick()
-                        guess = invert_encoding(kept_kind, alice)
-                        score += base * pk if guess is op else 0.0
-                else:
-                    score += base * 0.25
-    return score
+    """Exact chance Eve's guess matches the encoded op of one group, words
+    taken uniform; an abstaining rule scores the chance level of 1/4."""
+    return group_leaves(strategy, None, encode_target, node_budget).leakage()
 
 
 def honest_fidelity(
@@ -338,31 +341,17 @@ def honest_fidelity(
 ) -> float:
     """Chance the receiver decodes an encoding group correctly under the
     attack, assuming the session was not aborted."""
-    counter = _NodeCounter(node_budget)
-    register = Register(
-        [qcore.make_bell(_PSI, 1, 2), qcore.make_bell(_PSI, 3, 4)]
-    )
-    slot = 0 if encode_target is EncodeTarget.FIRST_TRAVEL_PHOTON else 1
-    group = build_groups(1)[0]
-    good = 0.0
-    for pe, reg, pair, _rec in _enumerate_attack_on_group(
-        strategy, register, group.alice_qubits, counter
-    ):
-        for op in ENCODING_OPS:
-            w = 0.25
-            coded = reg.clone()
-            coded.apply_single(pair[slot], op.matrix)
-            for pa, reg_a, alice in coded.enumerate_bell(*pair):
-                for pb, _reg_b, bob in reg_a.enumerate_bell(*group.bob_qubits):
-                    counter.tick()
-                    if decode_op(bob, alice) is op:
-                        good += pe * w * pa * pb
-    return good
+    return group_leaves(strategy, None, encode_target, node_budget).fidelity()
 
 
 # ---------------------------------------------------------------------------
 # swap-algebra route (independent of the state engine)
 # ---------------------------------------------------------------------------
+
+
+def _policy_items(policy: Mapping[EncodingOp, float] | None) -> list[tuple[EncodingOp, float]]:
+    policy = UNIFORM_POLICY if policy is None else policy
+    return [(op, w) for op in ENCODING_OPS for w in (policy.get(op, 0.0),) if w > 0.0]
 
 
 def detection_from_swap_algebra(
@@ -454,124 +443,71 @@ def enumerate_session_leaves(
 ) -> list[SessionLeaf]:
     """Every measurement branch of a whole session, with exact weights.
 
-    ``checking_ops`` fixes the sender's op per checking group (in index
-    order); otherwise ops are marginalized over ``policy``.  The encoding
-    phase is enumerated only on branches whose verdict is clean.
+    Replays ``run_session``'s phases with the groups in
+    ``checking_indices`` checking; a history that fails the check is one
+    leaf without encoding.  ``checking_ops`` fixes the sender's op per
+    checking group (in index order) in place of ``policy``.
     """
-    counter = _NodeCounter(node_budget)
-    groups = build_groups(n_groups)
-    checking_set = set(checking_indices)
-    if not checking_set <= {g.index for g in groups}:
-        raise ValueError(f"bad checking indices {sorted(checking_set)}")
-    chk_groups = [g for g in groups if g.index in checking_set]
-    enc_groups = [g for g in groups if g.index not in checking_set]
-    if checking_ops is not None and len(checking_ops) != len(chk_groups):
-        raise ValueError("one fixed op per checking group required")
-    if len(message_bits) != 2 * len(enc_groups):
-        raise ValueError(
-            f"{len(message_bits)} bits do not fill {len(enc_groups)} encoding groups"
+    checking = set(checking_indices)
+    if not checking <= set(range(1, n_groups + 1)):
+        raise ValueError(f"bad checking indices {sorted(checking)}")
+    if checking_ops is not None:
+        if len(checking_ops) != len(checking):
+            raise ValueError("one fixed op per checking group required")
+        # Outcomes given the ops do not depend on the policy that drew
+        # them, so draw from the fixed ops alone and condition on them.
+        policy = {op: 1.0 / len(set(checking_ops)) for op in checking_ops}
+    policy = UNIFORM_POLICY if policy is None else policy
+    cfg = SessionConfig(
+        n_groups, len(checking), message_bits, policy, encode_target, predicate
+    )
+
+    def session(rng):
+        register, groups, _memory, chk = _session_round(cfg, strategy, checking, rng)
+        checked = rng.depth
+        enc = protocol.run_encoding(
+            register, groups, message_bits, rng, encode_target=encode_target
         )
-    slot = 0 if encode_target is EncodeTarget.FIRST_TRAVEL_PHOTON else 1
+        return chk, enc, checked
 
-    register = Register()
-    for pair in range(1, 2 * n_groups + 1):
-        register.add(qcore.make_bell(_PSI, 2 * pair - 1, 2 * pair))
+    prefixes, prob, (chk, enc, checked) = _replay(session, node_budget)
+    for ann, op in zip(chk.announcements, checking_ops or ()):
+        prob = np.where(ann.op == ENCODING_OPS.index(op), prob / policy[op], 0.0)
+    passing = np.flatnonzero((prob > 0) & chk.clean)
+    failing = np.flatnonzero((prob > 0) & ~chk.clean)
 
-    # branch: (prob, register, travel pairs by group, checking records,
-    # encoding records); records grow as immutable tuples.
-    branches: list[tuple] = [
-        (1.0, register, {g.index: g.alice_qubits for g in groups}, (), ())
-    ]
-
-    for g in groups:
-        nxt = []
-        for p, reg, alice, chk, enc in branches:
-            for w, reg2, pair2, _rec in _enumerate_attack_on_group(
-                strategy, reg, alice[g.index], counter
-            ):
-                alice2 = dict(alice)
-                alice2[g.index] = pair2
-                nxt.append((p * w, reg2, alice2, chk, enc))
-        branches = nxt
-
-    for j, g in enumerate(chk_groups):
-        if checking_ops is not None:
-            op_choices = [(checking_ops[j], 1.0)]
-        else:
-            op_choices = _policy_items(policy)
-        nxt = []
-        for p, reg, alice, chk, enc in branches:
-            pair = alice[g.index]
-            for op, w in op_choices:
-                coded = reg.clone()
-                coded.apply_single(pair[slot], op.matrix)
-                for pa, reg_a, outcome in coded.enumerate_bell(*pair):
-                    counter.tick()
-                    nxt.append(
-                        (p * w * pa, reg_a, alice, chk + ((g.index, op, outcome),), enc)
-                    )
-        branches = nxt
-
-    for g in chk_groups:
-        nxt = []
-        for p, reg, alice, chk, enc in branches:
-            for pb, reg_b, bob in reg.enumerate_bell(*g.bob_qubits):
-                counter.tick()
-                chk2 = tuple(
-                    rec + (bob, check_passes(predicate, rec[1], bob, rec[2]))
-                    if rec[0] == g.index
-                    else rec
-                    for rec in chk
-                )
-                nxt.append((p * pb, reg_b, alice, chk2, enc))
-        branches = nxt
-
-    leaves: list[SessionLeaf] = []
-    undecided: list[tuple] = []
-    for p, reg, alice, chk, enc in branches:
-        clean = all(rec[4] for rec in chk)
-        if clean and enc_groups:
-            undecided.append((p, reg, alice, chk, enc))
-        else:
-            leaves.append(
-                SessionLeaf(
-                    prob=p,
-                    verdict=Verdict.CLEAN if clean else Verdict.EVE_DETECTED,
-                    decoded_bits="",
-                    checking=chk,
-                    encoding=(),
-                )
+    def records(i: int) -> tuple:
+        return tuple(
+            (
+                a.group_index,
+                ENCODING_OPS[a.op[i]],
+                BELL_KINDS[a.alice_outcome[i]],
+                BELL_KINDS[chk.bob_outcomes[a.group_index][i]],
+                bool(chk.passed[a.group_index][i]),
             )
-    branches = undecided
-
-    for j, g in enumerate(enc_groups):
-        op = op_for_bits(message_bits[2 * j : 2 * j + 2])
-        nxt = []
-        for p, reg, alice, chk, enc in branches:
-            pair = alice[g.index]
-            coded = reg.clone()
-            coded.apply_single(pair[slot], op.matrix)
-            for pa, reg_a, outcome in coded.enumerate_bell(*pair):
-                for pb, reg_b, bob in reg_a.enumerate_bell(*g.bob_qubits):
-                    counter.tick()
-                    nxt.append(
-                        (p * pa * pb, reg_b, alice, chk, enc + ((g.index, outcome, bob),))
-                    )
-        branches = nxt
-
-    for p, _reg, _alice, chk, enc in branches:
-        decoded = "".join(
-            decode_op(bob, alice_kind).bits for _idx, alice_kind, bob in enc
+            for a in chk.announcements
         )
-        leaves.append(
-            SessionLeaf(
-                prob=p,
-                verdict=Verdict.CLEAN,
-                decoded_bits=decoded,
-                checking=chk,
-                encoding=enc,
+
+    leaves = []
+    for i in passing.tolist():
+        encoding = tuple(
+            (
+                a.group_index,
+                BELL_KINDS[a.alice_outcome[i]],
+                BELL_KINDS[enc.bob_outcomes[a.group_index][i]],
             )
+            for a in enc.announcements
         )
+        bits = "".join(decode_op(bob, alice).bits for _, alice, bob in encoding)
+        leaves.append(SessionLeaf(float(prob[i]), Verdict.CLEAN, bits, records(i), encoding))
+    # A failed check ends the session, so its rows differ only in encoding
+    # outcomes replayed after the check: each checking history is one leaf.
+    _, first, history = np.unique(
+        prefixes[failing, :checked], axis=0, return_index=True, return_inverse=True
+    )
+    merged = np.bincount(history.reshape(-1), prob[failing], len(first))
+    for i, p in zip(failing[first].tolist(), merged.tolist()):
+        leaves.append(SessionLeaf(p, Verdict.EVE_DETECTED, "", records(i), ()))
     return leaves
 
 
@@ -606,7 +542,7 @@ def monte_carlo(
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
 ) -> MonteCarloResult:
     """Sampled single-group checking rounds through the live protocol and
-    adversary stack.
+    adversary stack, the round that ``group_leaves`` enumerates.
 
     Trial ``t`` consumes the leading draws of ``make_rng(seed, t)``.  The
     trials run in chunks of ``MC_CHUNK``: each chunk is one batched
@@ -616,25 +552,15 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    policy = UNIFORM_POLICY if policy is None else policy
-    check_policy(policy)
+    cfg = _one_group_config(policy, encode_target)
     failures = {pred: 0 for pred in DetectionPredicate}
     for start in range(0, trials, MC_CHUNK):
         rng = qcore.TrialStreams(seed, start, min(start + MC_CHUNK, trials))
-        register = Register(
-            [qcore.make_bell(_PSI, 1, 2), qcore.make_bell(_PSI, 3, 4)]
-        )
-        group = Group(index=1, bob_qubits=(1, 3), alice_qubits=(2, 4))
-        memory = EveMemory(strategy=strategy)
-        adv.apply_attack(strategy, register, [group], rng, memory)
-        op = draw_op(policy, rng)
-        register.apply_single(group.travel_photon(encode_target), OP_MATRICES[op])
-        alice = register.measure_bell(*group.alice_qubits, rng)
-        bob = register.measure_bell(*group.bob_qubits, rng)
+        *_, chk = _session_round(cfg, strategy, {1}, rng)
+        (ann,) = chk.announcements
         for pred in DetectionPredicate:
-            failures[pred] += len(rng) - int(
-                np.count_nonzero(check_passes(pred, op, bob, alice))
-            )
+            passed = check_passes(pred, ann.op, chk.bob_outcomes[1], ann.alice_outcome)
+            failures[pred] += len(rng) - int(np.count_nonzero(passed))
     return MonteCarloResult(
         strategy=strategy, trials=trials, seed=seed, failures=failures
     )
@@ -842,15 +768,17 @@ def detection_report(
     policy: Mapping[EncodingOp, float] | None = None,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
     mc: MonteCarloResult | None = None,
-    leakage: float | None = None,
-    fidelity: float | None = None,
+    leaves: GroupLeaves | None = None,
 ) -> DetectionReport:
     """Assemble exact, algebraic, and (optionally) sampled figures.
 
-    ``mc``, ``leakage`` and ``fidelity`` pass in figures already computed
-    for this strategy and encode target; none depends on the predicate.
+    ``mc`` and ``leaves`` (``group_leaves`` of this strategy, policy and
+    encode target) pass in work already done; neither depends on the
+    predicate.  Leakage and fidelity take the op uniform, as words are.
     """
-    p_exact = exact_detection(strategy, predicate, policy, encode_target)
+    if leaves is None:
+        leaves = group_leaves(strategy, policy, encode_target)
+    words = leaves if policy is None else group_leaves(strategy, None, encode_target)
     p_algebra = detection_from_swap_algebra(strategy, predicate, policy, encode_target)
     if mc is None and trials > 0:
         if seed is None:
@@ -859,18 +787,14 @@ def detection_report(
     return DetectionReport(
         strategy=strategy,
         predicate=predicate,
-        p_exact=p_exact,
+        p_exact=leaves.detection(predicate),
         p_algebra=p_algebra,
         p_mc=mc.p_hat(predicate) if mc else None,
         ci=mc.ci(predicate) if mc else None,
         trials=mc.trials if mc else 0,
         seed=mc.seed if mc else seed,
-        eve_guess_accuracy=(
-            exact_leakage(strategy, encode_target) if leakage is None else leakage
-        ),
-        honest_fidelity=(
-            honest_fidelity(strategy, encode_target) if fidelity is None else fidelity
-        ),
+        eve_guess_accuracy=words.leakage(),
+        honest_fidelity=words.fidelity(),
         paper_claim=PAPER_CLAIMED_DETECTION[strategy],
         claim_note=DETECTION_CLAIM_NOTES[strategy],
     )
@@ -893,17 +817,14 @@ def leakage_report(
 
 def sweep_report(trials: int, seed: int) -> dict:
     """All strategies under both predicates, exact figures beside the
-    claimed reference values; the Monte Carlo run, leakage and fidelity
-    are computed once per strategy and shared by both predicates' rows."""
+    claimed reference values; each strategy's Monte Carlo run and leaf set
+    are computed once and shared by both predicates' rows."""
     rows = []
     for strategy in AttackStrategy:
         mc = monte_carlo(strategy, trials, seed) if trials > 0 else None
-        leakage = exact_leakage(strategy)
-        fidelity = honest_fidelity(strategy)
+        leaves = group_leaves(strategy)
         for predicate in DetectionPredicate:
-            report = detection_report(
-                strategy, predicate, mc=mc, leakage=leakage, fidelity=fidelity
-            )
+            report = detection_report(strategy, predicate, mc=mc, leaves=leaves)
             rows.append(report.to_json_dict())
     return {"mode": "sweep", "trials": trials, "seed": seed, "rows": rows}
 

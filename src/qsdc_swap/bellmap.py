@@ -155,12 +155,33 @@ def apply_encoding(op: EncodingOp, kind: BellKind) -> BellKind:
     return result
 
 
-def invert_encoding(before: BellKind, after: BellKind) -> EncodingOp:
-    """The unique op carrying ``before`` onto ``after``."""
-    for op in ENCODING_OPS:
-        if apply_encoding(op, before) is after:
-            return op
-    raise AssertionError(f"no coding op maps {before} to {after}")
+def invert_encoding(
+    before: BellKind | np.ndarray, after: BellKind | np.ndarray
+) -> EncodingOp | np.ndarray:
+    """The unique op carrying ``before`` onto ``after``.
+
+    Batched outcomes, int arrays indexing BELL_KINDS, give one op per
+    trial as an int array indexing ENCODING_OPS.
+    """
+    if isinstance(before, BellKind):
+        for op in ENCODING_OPS:
+            if apply_encoding(op, before) is after:
+                return op
+        raise AssertionError(f"no coding op maps {before} to {after}")
+    return _inversion_table()[before, after]
+
+
+@lru_cache(maxsize=None)
+def _inversion_table() -> np.ndarray:
+    """invert_encoding as an int array indexed [before, after]."""
+    table = np.array(
+        [
+            [ENCODING_OPS.index(invert_encoding(before, after)) for after in BELL_KINDS]
+            for before in BELL_KINDS
+        ]
+    )
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import qcore
-from .bellmap import ENCODING_OPS, EncodingOp, decode_op, is_correlated, op_for_bits
+from .bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp, decode_op, is_correlated, op_for_bits
 from .qcore import BellKind, StateVector
 
 
@@ -104,39 +104,16 @@ def check_policy(policy: Mapping[EncodingOp, float]) -> None:
 def draw_op(
     policy: Mapping[EncodingOp, float], rng: np.random.Generator | qcore.TrialStreams
 ) -> EncodingOp | np.ndarray:
-    """The op whose cumulative weight first exceeds one uniform draw.
+    """The op drawn from ``policy`` through the outcome hook ``qcore.choose``.
 
-    From a ``TrialStreams`` it draws one op per trial, as an int array
-    indexing ENCODING_OPS, by the same rule.
+    An outcome source that draws per trial gives an int array indexing
+    ENCODING_OPS, one op per trial.
     """
-    r = rng.random()
-    if isinstance(r, np.ndarray):
-        return _draw_ops(policy, r)
-    acc = 0.0
-    last = None
-    for op in ENCODING_OPS:
-        w = policy.get(op, 0.0)
-        if w <= 0.0:
-            continue
-        last = op
-        acc += w
-        if r < acc:
-            return op
-    if last is None:
+    weights = [policy.get(op, 0.0) for op in ENCODING_OPS]
+    if max(weights) <= 0.0:
         raise ValueError("op policy has no positive weight")
-    return last
-
-
-def _draw_ops(policy: Mapping[EncodingOp, float], r: np.ndarray) -> np.ndarray:
-    weighted = [(i, policy.get(op, 0.0)) for i, op in enumerate(ENCODING_OPS)]
-    weighted = [(i, w) for i, w in weighted if w > 0.0]
-    if not weighted:
-        raise ValueError("op policy has no positive weight")
-    index = np.array([i for i, _ in weighted])
-    # cumsum adds in draw_op's order; searchsorted finds the first
-    # cumulative weight above r, and past the last one draw_op keeps it.
-    first = np.searchsorted(np.cumsum([w for _, w in weighted]), r, side="right")
-    return index[np.minimum(first, len(index) - 1)]
+    chosen = qcore.choose(rng, weights)
+    return chosen if isinstance(chosen, np.ndarray) else ENCODING_OPS[chosen]
 
 
 @dataclass
@@ -379,10 +356,21 @@ def partition_groups(
 
 @dataclass
 class CheckingResult:
+    """What the checking phase announced and measured; in a batched run
+    ops, outcomes and ``passed`` hold one entry per trial."""
+
     announcements: list[CheckingAnnouncement]
     bob_outcomes: dict[int, BellKind]
     passed: dict[int, bool]
-    verdict: Verdict
+
+    @property
+    def clean(self) -> bool | np.ndarray:
+        """Whether every checking group passed, per trial for a batch."""
+        return np.logical_and.reduce(list(self.passed.values()))
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.CLEAN if self.clean else Verdict.EVE_DETECTED
 
 
 @dataclass
@@ -391,14 +379,8 @@ class EncodingResult:
     bob_outcomes: dict[int, BellKind]
 
 
-def _as_register(state: Register | StateVector) -> Register:
-    if isinstance(state, Register):
-        return state
-    return Register([state])
-
-
 def run_checking(
-    state: Register | StateVector,
+    register: Register,
     groups: Sequence[Group],
     rng: np.random.Generator,
     *,
@@ -408,12 +390,12 @@ def run_checking(
 ) -> CheckingResult:
     """Checking phase: Alice codes, measures and announces every checking
     group in order; Bob then measures his counterparts and compares."""
-    register = _as_register(state)
     checking = [g for g in groups if g.role is GroupRole.CHECKING]
     announcements = []
     for g in checking:
         op = draw_op(policy, rng)
-        register.apply_single(g.travel_photon(encode_target), op.matrix)
+        matrix = op.matrix if isinstance(op, EncodingOp) else OP_MATRICES[op]
+        register.apply_single(g.travel_photon(encode_target), matrix)
         outcome = register.measure_bell(*g.alice_qubits, rng)
         announcements.append(CheckingAnnouncement(g.index, op, outcome))
     bob_outcomes: dict[int, BellKind] = {}
@@ -422,12 +404,11 @@ def run_checking(
         bob = register.measure_bell(*g.bob_qubits, rng)
         bob_outcomes[g.index] = bob
         passed[g.index] = check_passes(predicate, ann.op, bob, ann.alice_outcome)
-    verdict = Verdict.CLEAN if all(passed.values()) else Verdict.EVE_DETECTED
-    return CheckingResult(announcements, bob_outcomes, passed, verdict)
+    return CheckingResult(announcements, bob_outcomes, passed)
 
 
 def run_encoding(
-    state: Register | StateVector,
+    register: Register,
     groups: Sequence[Group],
     message_bits: str,
     rng: np.random.Generator,
@@ -436,7 +417,6 @@ def run_encoding(
 ) -> EncodingResult:
     """Encoding phase: two message bits per group via the coding ops, then
     Alice's announcements followed by Bob's measurements."""
-    register = _as_register(state)
     encoding = [g for g in groups if g.role is GroupRole.ENCODING]
     if len(message_bits) != 2 * len(encoding):
         raise ValueError(
@@ -525,43 +505,72 @@ class SessionTranscript:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SessionTranscript":
-        groups = [
-            Group(
-                index=g["index"],
-                bob_qubits=tuple(g["bob"]),
-                alice_qubits=tuple(g["alice"]),
-                role=GroupRole(g["role"]) if g["role"] else None,
+        """Inverse of ``to_json_dict``; malformed input raises ValueError
+        naming the first missing or invalid field."""
+        groups = []
+        for i, g in enumerate(_field(data, "groups", "", list)):
+            where = f"groups[{i}]."
+            groups.append(
+                Group(
+                    index=_field(g, "index", where),
+                    bob_qubits=_field(g, "bob", where, tuple),
+                    alice_qubits=_field(g, "alice", where, tuple),
+                    role=_field(g, "role", where, _optional_role),
+                )
             )
-            for g in data["groups"]
-        ]
         checking = []
         checking_bob = {}
         checking_passed = {}
-        for entry in data["checking"]:
+        for i, entry in enumerate(_field(data, "checking", "", list)):
+            where = f"checking[{i}]."
+            group = _field(entry, "group", where)
             checking.append(
                 CheckingAnnouncement(
-                    entry["group"], EncodingOp(entry["op"]), BellKind(entry["alice"])
+                    group,
+                    _field(entry, "op", where, EncodingOp),
+                    _field(entry, "alice", where, BellKind),
                 )
             )
-            checking_bob[entry["group"]] = BellKind(entry["bob"])
-            checking_passed[entry["group"]] = entry["passed"]
+            checking_bob[group] = _field(entry, "bob", where, BellKind)
+            checking_passed[group] = _field(entry, "passed", where)
         encoding = []
         encoding_bob = {}
-        for entry in data["encoding"]:
+        for i, entry in enumerate(_field(data, "encoding", "", list)):
+            where = f"encoding[{i}]."
+            group = _field(entry, "group", where)
             encoding.append(
-                EncodingAnnouncement(entry["group"], BellKind(entry["alice"]))
+                EncodingAnnouncement(group, _field(entry, "alice", where, BellKind))
             )
-            encoding_bob[entry["group"]] = BellKind(entry["bob"])
+            encoding_bob[group] = _field(entry, "bob", where, BellKind)
         return SessionTranscript(
             groups=groups,
             checking=checking,
             checking_bob=checking_bob,
             checking_passed=checking_passed,
-            verdict=Verdict(data["verdict"]),
+            verdict=_field(data, "verdict", "", Verdict),
             encoding=encoding,
             encoding_bob=encoding_bob,
-            decoded_bits=data["decoded_bits"],
+            decoded_bits=_field(data, "decoded_bits", ""),
         )
+
+
+def _optional_role(value) -> GroupRole | None:
+    return GroupRole(value) if value else None
+
+
+def _field(entry, key: str, where: str, parse=None):
+    """``entry[key]``, through ``parse`` if given; malformed input raises a
+    ValueError naming the field as ``where + key``."""
+    try:
+        value = entry[key]
+    except (KeyError, TypeError, IndexError):
+        raise ValueError(f"transcript field {where + key!r} is missing") from None
+    if parse is None:
+        return value
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"transcript field {where + key!r} is invalid: {exc}") from None
 
 
 def run_session(

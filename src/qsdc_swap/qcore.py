@@ -24,6 +24,10 @@ independent state per Monte Carlo trial over the same qubit tuple.  The
 operations below accept single and batched states alike; a batched Bell
 measurement returns one outcome per trial as an int array indexing
 ``BELL_KINDS``.  ``TrialStreams`` supplies the per-trial uniforms.
+
+Every random choice goes through one outcome hook, ``choose``: the
+sampling sources draw uniforms, and ``analysis`` replays the same code
+under scripted outcomes to enumerate every history with exact weights.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ NORM_TOL = 1e-9
 # keep their groups in separate factors instead (see protocol.Register).
 MAX_QUBITS = 12
 
-_MIN_BRANCH_PROB = 1e-12
+# Outcomes less likely than this are never drawn and never enumerated.
+MIN_BRANCH_PROB = 1e-12
 
 
 class QubitError(ValueError):
@@ -155,7 +160,6 @@ class Branch:
 
     prob: float
     state: StateVector
-    pair: tuple[int, int]
     kind: BellKind
 
 
@@ -294,51 +298,53 @@ def bell_branches(state: StateVector, a: int, b: int) -> list[Branch]:
     branches = []
     for kind, vec, p in zip(BELL_KINDS, projected, probs):
         p = float(p)
-        if p < _MIN_BRANCH_PROB:
+        if p < MIN_BRANCH_PROB:
             continue
         collapsed = _trusted(rest, vec / math.sqrt(p))
-        branches.append(Branch(prob=p, state=collapsed, pair=(a, b), kind=kind))
+        branches.append(Branch(prob=p, state=collapsed, kind=kind))
     return branches
+
+
+def choose(rng, probs) -> int | np.ndarray:
+    """The outcome hook: index of the outcome that happens, out of outcomes
+    weighted ``probs``.
+
+    A ``np.random.Generator`` draws one uniform and takes the first
+    non-negligible outcome whose cumulative weight exceeds it, or the most
+    likely one if rounding leaves the uniform past the end.  A source with
+    its own ``choose(probs)`` returns an int array, one outcome per trial:
+    ``TrialStreams`` applies the same rule to each trial's own uniform, and
+    ``analysis`` replays scripted outcomes.  (Asking for the method rather
+    than testing for ``np.random.Generator`` keeps batched runs from
+    importing ``numpy.random``, which costs about 5 MB.)
+    """
+    if hasattr(rng, "choose"):
+        return rng.choose(probs)
+    r = rng.random()
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += float(p)
+        if r < acc and p >= MIN_BRANCH_PROB:
+            return i
+    # float underflow at the top of the cumulative sum
+    return max(range(len(probs)), key=probs.__getitem__)
 
 
 def sample_bell(
     state: StateVector, a: int, b: int, rng: np.random.Generator | TrialStreams
 ) -> tuple[BellKind | np.ndarray, StateVector]:
-    """Draw one Bell outcome for ``(a, b)``; same seed, same sequence.
+    """Measure ``(a, b)`` in the Bell basis, the outcome drawn by ``choose``.
 
-    With a batched state or a ``TrialStreams`` the outcome is an int array
-    indexing BELL_KINDS, one per trial, and each trial picks exactly the
-    outcome that the single-state rule below picks for its uniform.
+    With a batched state or an outcome array from the hook the outcome is
+    an int array indexing BELL_KINDS, one per trial, and each trial's rest
+    collapses onto its own outcome.
     """
     rest, projected, probs = _pair_projections(state, a, b)
-    r = rng.random()
-    if probs.ndim == 2 or isinstance(r, np.ndarray):
-        return _sample_batch(rest, projected, probs, r)
-    acc = 0.0
-    chosen = None
-    for i, p in enumerate(probs):
-        acc += float(p)
-        if r < acc and p >= _MIN_BRANCH_PROB:
-            chosen = i
-            break
-    if chosen is None:
-        # float underflow at the top of the cumulative sum
-        chosen = int(probs.argmax())
-    p = float(probs[chosen])
-    return BELL_KINDS[chosen], _trusted(rest, projected[chosen] / math.sqrt(p))
-
-
-def _sample_batch(
-    rest: tuple[int, ...], projected: np.ndarray, probs: np.ndarray, r
-) -> tuple[np.ndarray, StateVector]:
-    """sample_bell's rule per trial: the first outcome whose cumulative
-    probability exceeds the uniform (and is not negligible), else the most
-    likely one.  ``cumsum`` adds in the same order as the scalar loop."""
-    hit = (np.asarray(r)[..., None] < np.cumsum(probs, axis=-1)) & (
-        probs >= _MIN_BRANCH_PROB
-    )
-    chosen = np.where(hit.any(axis=-1), hit.argmax(axis=-1), probs.argmax(axis=-1))
-    if probs.ndim == 1:  # one state, a batch of uniforms
+    chosen = choose(rng, probs)
+    if not isinstance(chosen, np.ndarray):
+        p = float(probs[chosen])
+        return BELL_KINDS[chosen], _trusted(rest, projected[chosen] / math.sqrt(p))
+    if probs.ndim == 1:  # one state, an outcome per trial
         vecs, p = projected[chosen], probs[chosen]
     else:
         rows = np.arange(probs.shape[0])
@@ -472,3 +478,12 @@ class TrialStreams:
             self._block = (raw >> _SHIFT53) * _TWO_POW_M53
         self._drawn += 1
         return self._block[:, j]
+
+    def choose(self, probs) -> np.ndarray:
+        """``choose``'s rule for every trial at once, each with its own next
+        uniform; ``cumsum`` adds in the same order as the scalar loop."""
+        probs = np.asarray(probs)
+        hit = (self.random()[:, None] < np.cumsum(probs, axis=-1)) & (
+            probs >= MIN_BRANCH_PROB
+        )
+        return np.where(hit.any(axis=-1), hit.argmax(axis=-1), probs.argmax(axis=-1))

@@ -13,6 +13,7 @@ from qsdc_swap.analysis import (
     enumerate_session_leaves,
     exact_detection,
     exact_leakage,
+    group_leaves,
     honest_fidelity,
     monte_carlo,
     run_identities,
@@ -333,21 +334,19 @@ def test_monte_carlo_rejects_policy_keyed_by_name():
         monte_carlo(AttackStrategy.NONE, 10, seed=0, policy={"u0": 1.0})
 
 
-def test_sweep_computes_leakage_and_fidelity_once_per_strategy(monkeypatch):
-    calls = {"leakage": 0, "fidelity": 0}
+def test_sweep_enumerates_each_strategy_once(monkeypatch):
+    enumerated = []
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted(strategy, *args, **kwargs):
+        enumerated.append(strategy)
+        return group_leaves(strategy, *args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(analysis, "exact_leakage", counted("leakage", exact_leakage))
-    monkeypatch.setattr(analysis, "honest_fidelity", counted("fidelity", honest_fidelity))
+    monkeypatch.setattr(analysis, "group_leaves", counted)
     report = sweep_report(trials=0, seed=0)
-    assert calls == {"leakage": len(STRATEGIES), "fidelity": len(STRATEGIES)}
+    assert enumerated == STRATEGIES
     for row in report["rows"]:
         strategy = AttackStrategy(row["strategy"])
+        predicate = DetectionPredicate(row["predicate"])
+        assert row["p_exact"] == exact_detection(strategy, predicate)
         assert row["eve_guess_accuracy"] == exact_leakage(strategy)
         assert row["honest_fidelity"] == honest_fidelity(strategy)

@@ -122,13 +122,6 @@ def test_run_checking_identity_policy_outcomes_match():
             assert result.bob_outcomes[ann.group_index] is ann.alice_outcome
 
 
-def test_run_checking_accepts_plain_state():
-    state, groups = prepare_session(cfg(1, 1))
-    groups = partition_groups(groups, 1, make_rng(2))
-    result = run_checking(state, groups, make_rng(2, 1))
-    assert result.verdict is Verdict.CLEAN
-
-
 def test_run_encoding_zero_word_keeps_kinds_equal():
     for seed in range(8):
         register, groups = prepare_registers(cfg(2, 0, bits="0000"))
@@ -210,6 +203,18 @@ def test_transcript_json_round_trip():
     back = SessionTranscript.from_json_dict(json.loads(json.dumps(doc)))
     assert back.to_json_dict() == doc
     assert back.redecode() == transcript.decoded_bits
+
+
+def test_transcript_missing_field_is_named():
+    with pytest.raises(ValueError, match="'checking' is missing"):
+        SessionTranscript.from_json_dict({"groups": []})
+
+
+def test_transcript_bad_bell_kind_is_named():
+    doc = run_session(cfg(3, 1, bits="0111", seed=21)).to_json_dict()
+    doc["checking"][0]["bob"] = "phi*"
+    with pytest.raises(ValueError, match=r"'checking\[0\]\.bob' is invalid"):
+        SessionTranscript.from_json_dict(doc)
 
 
 def test_transcript_bytes_deterministic():
