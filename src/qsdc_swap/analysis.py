@@ -196,7 +196,7 @@ class _Script:
         return probs.argmax(axis=-1)
 
 
-def _replay(round_fn, node_budget: int | None):
+def _replay(round_fn):
     """Every outcome history of ``round_fn(rng)``, breadth first.
 
     Each pass replays the round on all prefixes so far and extends every
@@ -205,8 +205,13 @@ def _replay(round_fn, node_budget: int | None):
     the last pass's result, which holds one outcome per history.  Rows
     replayed over all passes count against the node budget.
     """
-    if node_budget is None:
-        node_budget = int(os.environ.get(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET))
+    raw = os.environ.get(NODE_BUDGET_ENV, str(DEFAULT_NODE_BUDGET))
+    try:
+        node_budget = int(raw)
+    except ValueError:
+        node_budget = 0
+    if node_budget < 1:
+        raise ValueError(f"{NODE_BUDGET_ENV} must be a positive integer, got {raw!r}")
     prefixes = np.zeros((1, 0), dtype=np.intp)
     weights = np.ones(1)
     replayed = 0
@@ -290,7 +295,6 @@ def group_leaves(
     strategy: AttackStrategy,
     policy: Mapping[EncodingOp, float] | None = None,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
-    node_budget: int | None = None,
 ) -> GroupLeaves:
     """The single-group round enumerated: the checking round, then Eve's
     deferred measurements and her guess from the announced outcome, as if
@@ -304,7 +308,7 @@ def group_leaves(
         guesses = adv.eve_guess_bits(memory, [], [EncodingAnnouncement(1, ann.alice_outcome)])
         return ann.op, ann.alice_outcome, chk.bob_outcomes[1], guesses[1]
 
-    _, prob, outcomes = _replay(group_round, node_budget)
+    _, prob, outcomes = _replay(group_round)
     return GroupLeaves(prob, *outcomes)
 
 
@@ -313,7 +317,6 @@ def exact_detection(
     predicate: DetectionPredicate = DetectionPredicate.ANNOUNCED_OP,
     policy: Mapping[EncodingOp, float] | None = None,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
-    node_budget: int | None = None,
 ) -> float:
     """Exact chance that one checking group fails, via tree enumeration.
 
@@ -321,27 +324,25 @@ def exact_detection(
     measurements.  Detection is independent across groups, so the session
     figure for m groups is ``session_detection(p, m)``.
     """
-    return group_leaves(strategy, policy, encode_target, node_budget).detection(predicate)
+    return group_leaves(strategy, policy, encode_target).detection(predicate)
 
 
 def exact_leakage(
     strategy: AttackStrategy,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
-    node_budget: int | None = None,
 ) -> float:
     """Exact chance Eve's guess matches the encoded op of one group, words
     taken uniform; an abstaining rule scores the chance level of 1/4."""
-    return group_leaves(strategy, None, encode_target, node_budget).leakage()
+    return group_leaves(strategy, None, encode_target).leakage()
 
 
 def honest_fidelity(
     strategy: AttackStrategy,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
-    node_budget: int | None = None,
 ) -> float:
     """Chance the receiver decodes an encoding group correctly under the
     attack, assuming the session was not aborted."""
-    return group_leaves(strategy, None, encode_target, node_budget).fidelity()
+    return group_leaves(strategy, None, encode_target).fidelity()
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +435,20 @@ def enumerate_session_leaves(
     checking_indices: Sequence[int],
     strategy: AttackStrategy = AttackStrategy.NONE,
     *,
-    checking_ops: Sequence[EncodingOp] | None = None,
     message_bits: str = "",
     policy: Mapping[EncodingOp, float] | None = None,
     predicate: DetectionPredicate = DetectionPredicate.ANNOUNCED_OP,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
-    node_budget: int | None = None,
 ) -> list[SessionLeaf]:
     """Every measurement branch of a whole session, with exact weights.
 
     Replays ``run_session``'s phases with the groups in
     ``checking_indices`` checking; a history that fails the check is one
-    leaf without encoding.  ``checking_ops`` fixes the sender's op per
-    checking group (in index order) in place of ``policy``.
+    leaf without encoding.
     """
     checking = set(checking_indices)
     if not checking <= set(range(1, n_groups + 1)):
         raise ValueError(f"bad checking indices {sorted(checking)}")
-    if checking_ops is not None:
-        if len(checking_ops) != len(checking):
-            raise ValueError("one fixed op per checking group required")
-        # Outcomes given the ops do not depend on the policy that drew
-        # them, so draw from the fixed ops alone and condition on them.
-        policy = {op: 1.0 / len(set(checking_ops)) for op in checking_ops}
     policy = UNIFORM_POLICY if policy is None else policy
     cfg = SessionConfig(
         n_groups, len(checking), message_bits, policy, encode_target, predicate
@@ -470,11 +462,10 @@ def enumerate_session_leaves(
         )
         return chk, enc, checked
 
-    prefixes, prob, (chk, enc, checked) = _replay(session, node_budget)
-    for ann, op in zip(chk.announcements, checking_ops or ()):
-        prob = np.where(ann.op == ENCODING_OPS.index(op), prob / policy[op], 0.0)
-    passing = np.flatnonzero((prob > 0) & chk.clean)
-    failing = np.flatnonzero((prob > 0) & ~chk.clean)
+    prefixes, prob, (chk, enc, checked) = _replay(session)
+    clean = np.broadcast_to(chk.clean, prob.shape)
+    passing = np.flatnonzero(clean)
+    failing = np.flatnonzero(~clean)
 
     def records(i: int) -> tuple:
         return tuple(
@@ -720,43 +711,36 @@ def run_identities() -> list[IdentityCheck]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetectionReport:
-    strategy: AttackStrategy
-    predicate: DetectionPredicate
-    p_exact: float
-    p_algebra: float
-    p_mc: float | None
-    ci: float | None
-    trials: int
-    seed: int | None
-    eve_guess_accuracy: float
-    honest_fidelity: float
-    paper_claim: float | None
-    claim_note: str
-
-    def to_json_dict(self) -> dict:
-        delta = None
-        if self.paper_claim is not None:
-            delta = abs(self.p_exact - self.paper_claim)
-        return {
-            "strategy": self.strategy.value,
-            "predicate": self.predicate.value,
-            "p_exact": self.p_exact,
-            "p_algebra": self.p_algebra,
-            "p_mc": self.p_mc,
-            "ci": self.ci,
-            "trials": self.trials,
-            "seed": self.seed,
-            "eve_guess_accuracy": self.eve_guess_accuracy,
-            "honest_fidelity": self.honest_fidelity,
-            "session_detection": {
-                str(m): session_detection(self.p_exact, m) for m in SESSION_CURVE_POINTS
-            },
-            "paper_claim": self.paper_claim,
-            "claim_note": self.claim_note,
-            "abs_delta": delta,
-        }
+def _report_row(
+    strategy: AttackStrategy,
+    predicate: DetectionPredicate,
+    leaves: GroupLeaves,
+    mc: MonteCarloResult | None,
+    seed: int | None,
+) -> dict:
+    """One report row from the strategy's leaf set and, if sampled, its
+    Monte Carlo run; leakage and fidelity take the op uniform, as words
+    are."""
+    p_exact = leaves.detection(predicate)
+    claim = PAPER_CLAIMED_DETECTION[strategy]
+    return {
+        "strategy": strategy.value,
+        "predicate": predicate.value,
+        "p_exact": p_exact,
+        "p_algebra": detection_from_swap_algebra(strategy, predicate),
+        "p_mc": mc.p_hat(predicate) if mc else None,
+        "ci": mc.ci(predicate) if mc else None,
+        "trials": mc.trials if mc else 0,
+        "seed": seed,
+        "eve_guess_accuracy": leaves.leakage(),
+        "honest_fidelity": leaves.fidelity(),
+        "session_detection": {
+            str(m): session_detection(p_exact, m) for m in SESSION_CURVE_POINTS
+        },
+        "paper_claim": claim,
+        "claim_note": DETECTION_CLAIM_NOTES[strategy],
+        "abs_delta": None if claim is None else abs(p_exact - claim),
+    }
 
 
 def detection_report(
@@ -765,46 +749,16 @@ def detection_report(
     *,
     trials: int = 0,
     seed: int | None = None,
-    policy: Mapping[EncodingOp, float] | None = None,
-    encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
-    mc: MonteCarloResult | None = None,
-    leaves: GroupLeaves | None = None,
-) -> DetectionReport:
-    """Assemble exact, algebraic, and (optionally) sampled figures.
-
-    ``mc`` and ``leaves`` (``group_leaves`` of this strategy, policy and
-    encode target) pass in work already done; neither depends on the
-    predicate.  Leakage and fidelity take the op uniform, as words are.
-    """
-    if leaves is None:
-        leaves = group_leaves(strategy, policy, encode_target)
-    words = leaves if policy is None else group_leaves(strategy, None, encode_target)
-    p_algebra = detection_from_swap_algebra(strategy, predicate, policy, encode_target)
-    if mc is None and trials > 0:
-        if seed is None:
-            raise ValueError("sampling requires a seed")
-        mc = monte_carlo(strategy, trials, seed, policy, encode_target)
-    return DetectionReport(
-        strategy=strategy,
-        predicate=predicate,
-        p_exact=leaves.detection(predicate),
-        p_algebra=p_algebra,
-        p_mc=mc.p_hat(predicate) if mc else None,
-        ci=mc.ci(predicate) if mc else None,
-        trials=mc.trials if mc else 0,
-        seed=mc.seed if mc else seed,
-        eve_guess_accuracy=words.leakage(),
-        honest_fidelity=words.fidelity(),
-        paper_claim=PAPER_CLAIMED_DETECTION[strategy],
-        claim_note=DETECTION_CLAIM_NOTES[strategy],
-    )
-
-
-def leakage_report(
-    strategy: AttackStrategy,
-    encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
 ) -> dict:
-    accuracy = exact_leakage(strategy, encode_target)
+    """Exact, algebraic, and (optionally) sampled figures as a report row."""
+    if trials > 0 and seed is None:
+        raise ValueError("sampling requires a seed")
+    mc = monte_carlo(strategy, trials, seed) if trials > 0 else None
+    return _report_row(strategy, predicate, group_leaves(strategy), mc, seed)
+
+
+def leakage_report(strategy: AttackStrategy) -> dict:
+    accuracy = exact_leakage(strategy)
     claim = PAPER_CLAIMED_LEAKAGE[strategy]
     return {
         "strategy": strategy.value,
@@ -824,36 +778,29 @@ def sweep_report(trials: int, seed: int) -> dict:
         mc = monte_carlo(strategy, trials, seed) if trials > 0 else None
         leaves = group_leaves(strategy)
         for predicate in DetectionPredicate:
-            report = detection_report(strategy, predicate, mc=mc, leaves=leaves)
-            rows.append(report.to_json_dict())
+            rows.append(_report_row(strategy, predicate, leaves, mc, seed if mc else None))
     return {"mode": "sweep", "trials": trials, "seed": seed, "rows": rows}
+
+
+_CSV_COLUMNS = (
+    "strategy",
+    "predicate",
+    "p_exact",
+    "p_algebra",
+    "p_mc",
+    "ci",
+    "eve_guess_accuracy",
+    "honest_fidelity",
+    "paper_claim",
+    "abs_delta",
+)
 
 
 def sweep_csv(report: dict) -> str:
     """Flat projection: one row per (strategy, predicate)."""
-    header = (
-        "strategy,predicate,p_exact,p_algebra,p_mc,ci,"
-        "eve_guess_accuracy,honest_fidelity,paper_claim,abs_delta"
-    )
-    lines = [header]
+    lines = [",".join(_CSV_COLUMNS)]
     for row in report["rows"]:
-        lines.append(
-            ",".join(
-                _csv_cell(row[key])
-                for key in (
-                    "strategy",
-                    "predicate",
-                    "p_exact",
-                    "p_algebra",
-                    "p_mc",
-                    "ci",
-                    "eve_guess_accuracy",
-                    "honest_fidelity",
-                    "paper_claim",
-                    "abs_delta",
-                )
-            )
-        )
+        lines.append(",".join(_csv_cell(row[key]) for key in _CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

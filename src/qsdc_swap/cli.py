@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trials", type=int, help="Monte Carlo trials (0 disables)")
     parser.add_argument("--seed", type=int, help="seed for any sampling mode")
     parser.add_argument("--out", help="report file path")
-    parser.add_argument("--format", choices=["json", "csv"], dest="fmt")
+    parser.add_argument("--format", choices=["json", "csv"])
     return parser
 
 
@@ -68,40 +68,15 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
 
 
 def _merged(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    merged = {
-        "mode": None,
-        "n_groups": None,
-        "n_checking": None,
-        "bits": None,
-        "text": None,
-        "strategy": None,
-        "predicate": None,
-        "trials": None,
-        "seed": None,
-        "out": None,
-        "format": None,
-    }
+    flags = {key: value for key, value in vars(args).items() if key != "config"}
+    merged = dict.fromkeys(flags)
     if args.config:
         for key, value in _load_config(args.config, parser).items():
             key = key.replace("-", "_")
             if key not in merged:
                 parser.error(f"unknown config key {key!r}")
             merged[key] = value
-    for key, value in (
-        ("mode", args.mode),
-        ("n_groups", args.n_groups),
-        ("n_checking", args.n_checking),
-        ("bits", args.bits),
-        ("text", args.text),
-        ("strategy", args.strategy),
-        ("predicate", args.predicate),
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("out", args.out),
-        ("format", args.fmt),
-    ):
-        if value is not None:
-            merged[key] = value
+    merged.update((key, value) for key, value in flags.items() if value is not None)
     return merged
 
 
@@ -220,10 +195,7 @@ def _run_detect(cfg: dict, parser: argparse.ArgumentParser) -> int:
     trials = _trials(cfg, parser, 0)
     if trials and cfg["seed"] is None:
         parser.error("--trials needs --seed")
-    report = analysis.detection_report(
-        strategy, predicate, trials=trials, seed=cfg["seed"]
-    )
-    doc = report.to_json_dict()
+    doc = analysis.detection_report(strategy, predicate, trials=trials, seed=cfg["seed"])
     print(f"strategy {doc['strategy']}, predicate {doc['predicate']}")
     print(f"p_exact={doc['p_exact']:.6g}  p_algebra={doc['p_algebra']:.6g}")
     if doc["p_mc"] is not None:

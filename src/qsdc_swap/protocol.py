@@ -211,7 +211,7 @@ class Register:
         return frozenset(self._home)
 
     def add(self, sv: StateVector) -> None:
-        clash = set(sv.qubits) & set(self._home)
+        clash = [q for q in sv.qubits if q in self._home]
         if clash:
             raise qcore.QubitError(f"register already holds {sorted(clash)}")
         key = self._next_key
@@ -573,13 +573,7 @@ def _field(entry, key: str, where: str, parse=None):
         raise ValueError(f"transcript field {where + key!r} is invalid: {exc}") from None
 
 
-def run_session(
-    cfg: SessionConfig,
-    strategy=None,
-    rng: np.random.Generator | None = None,
-    *,
-    with_memory: bool = False,
-):
+def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
     """One full session with an optional adversary on the travel channel.
 
     The adversary acts once, after preparation and before Alice's receipt
@@ -590,8 +584,7 @@ def run_session(
 
     if strategy is None:
         strategy = adversary.AttackStrategy.NONE
-    if rng is None:
-        rng = qcore.make_rng(cfg.seed)
+    rng = qcore.make_rng(cfg.seed)
 
     register, groups = prepare_registers(cfg)
     memory = adversary.EveMemory(strategy=strategy)
@@ -617,7 +610,7 @@ def run_session(
         decoded = decode_message(encoding, encoding_bob)
     adversary.finalize_attack(strategy, register, groups, memory, rng)
 
-    transcript = SessionTranscript(
+    return SessionTranscript(
         groups=groups,
         checking=chk.announcements,
         checking_bob=chk.bob_outcomes,
@@ -627,6 +620,3 @@ def run_session(
         encoding_bob=encoding_bob,
         decoded_bits=decoded,
     )
-    if with_memory:
-        return transcript, memory
-    return transcript

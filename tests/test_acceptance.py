@@ -96,12 +96,16 @@ def test_criterion_04_honest_protocol_exhaustive():
         for leaf in leaves:
             assert leaf.verdict is Verdict.CLEAN
             assert leaf.decoded_bits == message
-    # every 3-group checking assignment passes on every branch
-    for ops in itertools.product(ENCODING_OPS, repeat=3):
-        leaves = enumerate_session_leaves(3, [1, 2, 3], checking_ops=list(ops))
-        assert abs(sum(l.prob for l in leaves) - 1.0) < 1e-9
-        for leaf in leaves:
-            assert leaf.verdict is Verdict.CLEAN
+    # every 3-group checking assignment is drawn and passes on every branch
+    leaves = enumerate_session_leaves(3, [1, 2, 3])
+    op_weights = {}
+    for leaf in leaves:
+        assert leaf.verdict is Verdict.CLEAN
+        ops = tuple(op for _, op, _, _, _ in leaf.checking)
+        op_weights[ops] = op_weights.get(ops, 0.0) + leaf.prob
+    assert set(op_weights) == set(itertools.product(ENCODING_OPS, repeat=3))
+    for weight in op_weights.values():
+        assert abs(weight - 1.0 / 64.0) < 1e-12
     # smaller sessions too
     for n in (1, 2):
         for ops in itertools.product(ENCODING_OPS, repeat=n):

@@ -117,7 +117,7 @@ def test_policy_sensitivity_identity_only():
 
 
 def test_honest_session_leaves_uniform_outcomes():
-    leaves = enumerate_session_leaves(1, [1], checking_ops=[ENCODING_OPS[2]])
+    leaves = enumerate_session_leaves(1, [1], policy=single_op_policy(ENCODING_OPS[2]))
     assert abs(sum(l.prob for l in leaves) - 1.0) < 1e-9
     outcome_probs = {}
     for leaf in leaves:
@@ -144,7 +144,7 @@ def test_single_encoding_group_matches_column():
 
 def test_mixed_session_leaves_decode():
     leaves = enumerate_session_leaves(
-        2, [1], checking_ops=[ENCODING_OPS[1]], message_bits="10"
+        2, [1], policy=single_op_policy(ENCODING_OPS[1]), message_bits="10"
     )
     assert abs(sum(l.prob for l in leaves) - 1.0) < 1e-9
     for leaf in leaves:
@@ -156,7 +156,10 @@ def test_replace_attack_joint_outcomes_uniform():
     # with the travel photons substituted, receiver and sender outcomes
     # are independent and uniform over all 16 pairs
     leaves = enumerate_session_leaves(
-        1, [1], AttackStrategy.REPLACE_MEASURE_AFTER, checking_ops=[ENCODING_OPS[0]]
+        1,
+        [1],
+        AttackStrategy.REPLACE_MEASURE_AFTER,
+        policy=single_op_policy(ENCODING_OPS[0]),
     )
     joint = {}
     for leaf in leaves:
@@ -191,6 +194,12 @@ def test_node_budget_enforced(monkeypatch):
     exact_detection(AttackStrategy.NONE)  # default budget restored
 
 
+def test_bad_node_budget_names_the_variable(monkeypatch):
+    monkeypatch.setenv(analysis.NODE_BUDGET_ENV, "abc")
+    with pytest.raises(ValueError, match=analysis.NODE_BUDGET_ENV):
+        exact_detection(AttackStrategy.NONE)
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_monte_carlo_brackets_exact_at_3_sigma(strategy):
     trials = 10_000
@@ -221,13 +230,12 @@ def test_identities_all_pass():
 
 
 def test_detection_report_schema():
-    report = detection_report(
+    doc = detection_report(
         AttackStrategy.REPLACE_MEASURE_AFTER,
         DetectionPredicate.ANNOUNCED_OP,
         trials=2000,
         seed=99,
     )
-    doc = report.to_json_dict()
     for key in ("strategy", "predicate", "p_exact", "p_mc", "ci", "paper_claim"):
         assert key in doc
     assert doc["p_exact"] == pytest.approx(0.75)

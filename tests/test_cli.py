@@ -142,6 +142,12 @@ def test_detect_trials_need_seed():
     assert err.value.code == 2
 
 
+def test_detect_bad_node_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("QSDC_NODE_BUDGET", "0")
+    assert run_cli("--mode", "detect", "--strategy", "none") == 2
+    assert "QSDC_NODE_BUDGET" in capsys.readouterr().err
+
+
 def test_leakage_mode(capsys, tmp_path):
     out = tmp_path / "leak.json"
     code = run_cli("--mode", "leakage", "--strategy", "measure-resend", "--out", str(out))

@@ -265,6 +265,15 @@ def test_register_merge_and_allocate():
         register.add(make_bell(BellKind.PSI_PLUS, 4, 9))
 
 
+def test_register_add_names_clashing_qubits():
+    register = Register(
+        [make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 3, 4)]
+    )
+    with pytest.raises(QubitError, match=r"register already holds \[2, 3\]"):
+        register.add(make_bell(BellKind.PSI_PLUS, 3, 2))
+    assert register.qubits == frozenset({1, 2, 3, 4})
+
+
 def test_register_compose_all_matches_prepare_session():
     config = cfg(2, 2)
     state, _ = prepare_session(config)
