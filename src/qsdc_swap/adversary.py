@@ -13,12 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
+from functools import lru_cache
 
 import numpy as np
 
 from . import qcore
 from .bellmap import EncodingOp, apply_encoding, invert_encoding
-from .protocol import CheckingAnnouncement, EncodingAnnouncement, Group, Register
+from .protocol import (
+    CheckingAnnouncement,
+    EncodingAnnouncement,
+    Group,
+    Register,
+    SessionConfig,
+    prepare_registers,
+)
 from .qcore import BellKind
 
 
@@ -126,6 +134,33 @@ def apply_attack(
         else:
             raise ValueError(f"unhandled strategy {strategy}")
     return register
+
+
+class _DrawCounter:
+    """Outcome source that counts its choices and takes the likeliest
+    outcome of each."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def choose(self, probs) -> int:
+        self.draws += 1
+        return int(np.argmax(probs))
+
+
+@lru_cache(maxsize=None)
+def attack_footprint(strategy: AttackStrategy) -> tuple[int, int]:
+    """Uniforms drawn and fresh qubit ids allocated per group by
+    ``strategy``, counted by running its attack once on one group.
+
+    Every strategy treats each group alike, so a session of G groups
+    draws G times as many, group after group.
+    """
+    counter = _DrawCounter()
+    register, groups = prepare_registers(SessionConfig(n_groups=1, n_checking=1))
+    apply_attack(strategy, register, groups, counter, EveMemory(strategy=strategy))
+    # the group holds ids 1-4, so Eve's ids start at 5
+    return counter.draws, register.allocate(1)[0] - 5
 
 
 def finalize_attack(

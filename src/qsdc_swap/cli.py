@@ -67,14 +67,35 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
     return data
 
 
+def _check_config_value(
+    action: argparse.Action, value, parser: argparse.ArgumentParser
+) -> None:
+    """Hold a config-file value to the type and choices of its flag; null
+    leaves the key unset."""
+    if value is None:
+        return
+    key = action.dest
+    if action.type is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            parser.error(f"config key {key!r} must be an integer, got {value!r}")
+    elif not isinstance(value, str):
+        parser.error(f"config key {key!r} must be a string, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        parser.error(
+            f"config key {key!r} must be one of {', '.join(action.choices)}, got {value!r}"
+        )
+
+
 def _merged(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     flags = {key: value for key, value in vars(args).items() if key != "config"}
     merged = dict.fromkeys(flags)
     if args.config:
+        actions = {action.dest: action for action in parser._actions}
         for key, value in _load_config(args.config, parser).items():
             key = key.replace("-", "_")
             if key not in merged:
                 parser.error(f"unknown config key {key!r}")
+            _check_config_value(actions[key], value, parser)
             merged[key] = value
     merged.update((key, value) for key, value in flags.items() if value is not None)
     return merged
@@ -184,7 +205,7 @@ def _trials(cfg: dict, parser: argparse.ArgumentParser, default: int) -> int:
     trials = cfg["trials"]
     if trials is None:
         return default
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 0:
+    if trials < 0:
         parser.error(f"--trials must be a non-negative integer, got {trials!r}")
     return trials
 

@@ -8,15 +8,18 @@ channel, and encodes two bits per surviving group with a local coding
 operation before measuring and announcing.  Bob measures his halves and
 compares (checking groups) or decodes (encoding groups).
 
-A session is a single-threaded sequential process; run many sessions in
-parallel with independent seeds.  Session state lives in a `Register`, a
-pool of product-state factors that merge only when an operation spans
-them, so sessions of any length stay inside the per-factor qubit cap.
+A session's groups are independent copies of one four-qubit round, so
+``run_session`` runs each phase once on a template group whose batch rows
+are the session's groups.  Its state lives in a `Register`, a pool of
+product-state factors that merge only when an operation spans them, so a
+group's state stays four qubits plus whatever Eve adds, and sessions of
+any length stay inside the per-factor qubit cap.
 
-The same calls also run a batch of independent trials at once (see
-``analysis.monte_carlo``): factors then hold batched states, the RNG is a
-``qcore.TrialStreams``, and drawn ops and Bell outcomes are int arrays
-indexing ``ENCODING_OPS`` and ``BELL_KINDS``.
+The phase calls run a batch of rows at once: the groups of one session,
+or the independent trials of ``analysis.monte_carlo``.  Factors then hold
+batched states, the RNG is a ``qcore.Uniforms`` or ``qcore.TrialStreams``
+that gives every row its own uniforms, and drawn ops and Bell outcomes
+are int arrays indexing ``ENCODING_OPS`` and ``BELL_KINDS``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import qcore
 from .bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp, decode_op, is_correlated, op_for_bits
-from .qcore import BellKind, StateVector
+from .qcore import BELL_KINDS, BellKind, StateVector
 
 
 @unique
@@ -161,13 +164,17 @@ class SessionConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_groups", "n_checking", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_groups < 1:
             raise ValueError("need at least one group")
         if not 0 <= self.n_checking <= self.n_groups:
             raise ValueError(
                 f"n_checking {self.n_checking} outside [0, {self.n_groups}]"
             )
-        if any(c not in "01" for c in self.message_bits):
+        if not isinstance(self.message_bits, str) or any(c not in "01" for c in self.message_bits):
             raise ValueError("message bits must be a 0/1 string")
         if len(self.message_bits) != self.capacity:
             raise ValueError(
@@ -235,6 +242,15 @@ class Register:
         other._next_key = self._next_key
         other._next_qubit = self._next_qubit
         other.touched = set(self.touched)
+        return other
+
+    def take(self, rows: Sequence[int]) -> "Register":
+        """The register restricted to ``rows`` of its batch: batched factors
+        keep those rows, single-state factors are shared."""
+        other = self.clone()
+        for key, sv in self._factors.items():
+            if sv.batch is not None:
+                other._factors[key] = StateVector(sv.qubits, sv.amps[rows])
         return other
 
     def _key_of(self, q: int) -> int:
@@ -318,13 +334,9 @@ class Register:
 
 def build_groups(n_groups: int) -> list[Group]:
     """Photon layout: group g keeps (4g-3, 4g-1), travels (4g-2, 4g)."""
-    groups = []
-    for g in range(1, n_groups + 1):
-        base = 4 * (g - 1)
-        groups.append(
-            Group(index=g, bob_qubits=(base + 1, base + 3), alice_qubits=(base + 2, base + 4))
-        )
-    return groups
+    return [
+        Group(g + 1, (4 * g + 1, 4 * g + 3), (4 * g + 2, 4 * g + 4)) for g in range(n_groups)
+    ]
 
 
 def prepare_session(cfg: SessionConfig) -> tuple[StateVector, list[Group]]:
@@ -335,10 +347,14 @@ def prepare_session(cfg: SessionConfig) -> tuple[StateVector, list[Group]]:
 
 def prepare_registers(cfg: SessionConfig) -> tuple[Register, list[Group]]:
     """Initial session register, one factor per EPR pair."""
-    register = Register()
-    for pair in range(1, 2 * cfg.n_groups + 1):
-        register.add(qcore.make_bell(BellKind.PSI_PLUS, 2 * pair - 1, 2 * pair))
-    return register, build_groups(cfg.n_groups)
+    return _pair_register(cfg.n_groups), build_groups(cfg.n_groups)
+
+
+def _pair_register(n_groups: int) -> Register:
+    return Register(
+        qcore.make_bell(BellKind.PSI_PLUS, 2 * pair - 1, 2 * pair)
+        for pair in range(1, 2 * n_groups + 1)
+    )
 
 
 def partition_groups(
@@ -349,7 +365,12 @@ def partition_groups(
         raise ValueError(f"n_checking {n_checking} outside [0, {len(groups)}]")
     chosen = set(rng.permutation(len(groups))[:n_checking].tolist())
     return [
-        replace(g, role=GroupRole.CHECKING if i in chosen else GroupRole.ENCODING)
+        Group(
+            g.index,
+            g.bob_qubits,
+            g.alice_qubits,
+            GroupRole.CHECKING if i in chosen else GroupRole.ENCODING,
+        )
         for i, g in enumerate(groups)
     ]
 
@@ -410,22 +431,27 @@ def run_checking(
 def run_encoding(
     register: Register,
     groups: Sequence[Group],
-    message_bits: str,
+    message_bits: str | Sequence[str],
     rng: np.random.Generator,
     *,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
 ) -> EncodingResult:
     """Encoding phase: two message bits per group via the coding ops, then
-    Alice's announcements followed by Bob's measurements."""
+    Alice's announcements followed by Bob's measurements.  A batch takes
+    either one message for every row or a sequence of one per row."""
     encoding = [g for g in groups if g.role is GroupRole.ENCODING]
-    if len(message_bits) != 2 * len(encoding):
-        raise ValueError(
-            f"{len(message_bits)} bits do not fill {len(encoding)} encoding groups"
-        )
+    messages = [message_bits] if isinstance(message_bits, str) else message_bits
+    for bits in messages:
+        if len(bits) != 2 * len(encoding):
+            raise ValueError(f"{len(bits)} bits do not fill {len(encoding)} encoding groups")
     announcements = []
     for i, g in enumerate(encoding):
-        op = op_for_bits(message_bits[2 * i : 2 * i + 2])
-        register.apply_single(g.travel_photon(encode_target), op.matrix)
+        words = [bits[2 * i : 2 * i + 2] for bits in messages]
+        if isinstance(message_bits, str):
+            matrix = op_for_bits(words[0]).matrix
+        else:
+            matrix = OP_MATRICES[[ENCODING_OPS.index(op_for_bits(w)) for w in words]]
+        register.apply_single(g.travel_photon(encode_target), matrix)
         outcome = register.measure_bell(*g.alice_qubits, rng)
         announcements.append(EncodingAnnouncement(g.index, outcome))
     bob_outcomes: dict[int, BellKind] = {}
@@ -577,46 +603,108 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
     """One full session with an optional adversary on the travel channel.
 
     The adversary acts once, after preparation and before Alice's receipt
-    confirmation; the encoding phase runs only on a clean verdict.
-    Deterministic under the config seed.
+    confirmation; the encoding phase runs only on a clean verdict.  Each
+    phase runs once, on a template group whose batch rows are the groups
+    it covers, and takes uniforms drawn up front from the config seed in
+    the order that running the groups one at a time would consume them
+    (README, Determinism), so the transcript is the one-at-a-time one.
     """
     from . import adversary
 
     if strategy is None:
         strategy = adversary.AttackStrategy.NONE
     rng = qcore.make_rng(cfg.seed)
+    draws, fresh = adversary.attack_footprint(strategy)
 
-    register, groups = prepare_registers(cfg)
-    memory = adversary.EveMemory(strategy=strategy)
-    adversary.apply_attack(strategy, register, groups, rng, memory)
-    groups = partition_groups(groups, cfg.n_checking, rng)
-
-    chk = run_checking(
+    register, (template,) = _pair_register(1), build_groups(1)
+    adversary.apply_attack(
+        strategy,
         register,
-        groups,
-        rng,
-        policy=cfg.checking_op_policy,
-        encode_target=cfg.encode_target,
-        predicate=cfg.predicate,
+        [template],
+        qcore.Uniforms(rng.random((cfg.n_groups, draws))),
+        adversary.EveMemory(strategy=strategy),
     )
-    encoding: list[EncodingAnnouncement] = []
+    groups = partition_groups(
+        _session_groups(cfg.n_groups, template.alice_qubits, fresh), cfg.n_checking, rng
+    )
+    checking = [g for g in groups if g.role is GroupRole.CHECKING]
+    encoding = [g for g in groups if g.role is GroupRole.ENCODING]
+
+    announcements: list[CheckingAnnouncement] = []
+    checking_bob: dict[int, BellKind] = {}
+    passed: dict[int, bool] = {}
+    if checking:
+        # Alice's (op, outcome) pair per group, then Bob's outcome per group.
+        uniforms = np.column_stack([rng.random((len(checking), 2)), rng.random(len(checking))])
+        chk = run_checking(
+            register.take([g.index - 1 for g in checking]),
+            [replace(template, role=GroupRole.CHECKING)],
+            qcore.Uniforms(uniforms),
+            policy=cfg.checking_op_policy,
+            encode_target=cfg.encode_target,
+            predicate=cfg.predicate,
+        )
+        (ann,) = chk.announcements
+        rows = zip(
+            checking,
+            ann.op.tolist(),
+            ann.alice_outcome.tolist(),
+            chk.bob_outcomes[1].tolist(),
+            chk.passed[1].tolist(),
+        )
+        for g, op, alice, bob, ok in rows:
+            announcements.append(
+                CheckingAnnouncement(g.index, ENCODING_OPS[op], BELL_KINDS[alice])
+            )
+            checking_bob[g.index] = BELL_KINDS[bob]
+            passed[g.index] = ok
+    verdict = Verdict.CLEAN if all(passed.values()) else Verdict.EVE_DETECTED
+
+    enc_announcements: list[EncodingAnnouncement] = []
     encoding_bob: dict[int, BellKind] = {}
     decoded = ""
-    if chk.verdict is Verdict.CLEAN and cfg.n_encoding:
+    if verdict is Verdict.CLEAN and encoding:
+        bits = cfg.message_bits
+        # Alice's outcome per group, then Bob's outcome per group.
         enc = run_encoding(
-            register, groups, cfg.message_bits, rng, encode_target=cfg.encode_target
+            register.take([g.index - 1 for g in encoding]),
+            [replace(template, role=GroupRole.ENCODING)],
+            [bits[i : i + 2] for i in range(0, len(bits), 2)],
+            qcore.Uniforms(rng.random((2, len(encoding))).T),
+            encode_target=cfg.encode_target,
         )
-        encoding, encoding_bob = enc.announcements, enc.bob_outcomes
-        decoded = decode_message(encoding, encoding_bob)
-    adversary.finalize_attack(strategy, register, groups, memory, rng)
+        (ann,) = enc.announcements
+        rows = zip(encoding, ann.alice_outcome.tolist(), enc.bob_outcomes[1].tolist())
+        for g, alice, bob in rows:
+            enc_announcements.append(EncodingAnnouncement(g.index, BELL_KINDS[alice]))
+            encoding_bob[g.index] = BELL_KINDS[bob]
+        decoded = decode_message(enc_announcements, encoding_bob)
 
     return SessionTranscript(
         groups=groups,
-        checking=chk.announcements,
-        checking_bob=chk.bob_outcomes,
-        checking_passed=chk.passed,
-        verdict=chk.verdict,
-        encoding=encoding,
+        checking=announcements,
+        checking_bob=checking_bob,
+        checking_passed=passed,
+        verdict=verdict,
+        encoding=enc_announcements,
         encoding_bob=encoding_bob,
         decoded_bits=decoded,
     )
+
+
+def _session_groups(
+    n_groups: int, template_alice: tuple[int, int], fresh: int
+) -> list[Group]:
+    """The session's groups, each pointing at its own copies of the
+    template's travel qubits: template id q <= 4 is group g's
+    ``4(g-1) + q``, and Eve's ids, ``fresh`` per group, follow the 4G
+    honest ones in group order, as one-at-a-time allocation hands them out.
+    """
+    # group g's copy of q is first + step * (g - 1)
+    (first1, step1), (first2, step2) = (
+        (q, 4) if q <= 4 else (4 * n_groups + q - 4, fresh) for q in template_alice
+    )
+    groups = build_groups(n_groups)
+    for i, g in enumerate(groups):
+        g.alice_qubits = (first1 + step1 * i, first2 + step2 * i)
+    return groups

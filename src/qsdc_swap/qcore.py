@@ -20,10 +20,11 @@ kept as classical flags, which keeps multi-stage eavesdropping scenarios
 inside the register cap.
 
 A state may also be a batch: amplitudes of shape ``(B, 2**n)``, one
-independent state per Monte Carlo trial over the same qubit tuple.  The
-operations below accept single and batched states alike; a batched Bell
-measurement returns one outcome per trial as an int array indexing
-``BELL_KINDS``.  ``TrialStreams`` supplies the per-trial uniforms.
+independent state per Monte Carlo trial, or per photon group of a session,
+over the same qubit tuple.  The operations below accept single and batched
+states alike; a batched Bell measurement returns one outcome per row as an
+int array indexing ``BELL_KINDS``.  ``TrialStreams`` supplies the per-trial
+uniforms and ``Uniforms`` a session's pre-drawn ones.
 
 Every random choice goes through one outcome hook, ``choose``: the
 sampling sources draw uniforms, and ``analysis`` replays the same code
@@ -312,11 +313,11 @@ def choose(rng, probs) -> int | np.ndarray:
     A ``np.random.Generator`` draws one uniform and takes the first
     non-negligible outcome whose cumulative weight exceeds it, or the most
     likely one if rounding leaves the uniform past the end.  A source with
-    its own ``choose(probs)`` returns an int array, one outcome per trial:
-    ``TrialStreams`` applies the same rule to each trial's own uniform, and
-    ``analysis`` replays scripted outcomes.  (Asking for the method rather
-    than testing for ``np.random.Generator`` keeps batched runs from
-    importing ``numpy.random``, which costs about 5 MB.)
+    its own ``choose(probs)`` returns an int array, one outcome per row:
+    ``TrialStreams`` and ``Uniforms`` apply the same rule to each row's own
+    uniform, and ``analysis`` replays scripted outcomes.  (Asking for the
+    method rather than testing for ``np.random.Generator`` keeps batched
+    runs from importing ``numpy.random``, which costs about 5 MB.)
     """
     if hasattr(rng, "choose"):
         return rng.choose(probs)
@@ -451,6 +452,14 @@ def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=1)
 
 
+def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:
+    """``choose``'s rule for every row at once, row i deciding by
+    ``uniforms[i]``; ``cumsum`` adds in the same order as the scalar loop."""
+    probs = np.asarray(probs)
+    hit = (uniforms[:, None] < np.cumsum(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), probs.argmax(axis=-1))
+
+
 class TrialStreams:
     """The streams ``make_rng(seed, t)`` for ``t`` in ``[start, stop)``,
     drawn side by side.
@@ -480,10 +489,30 @@ class TrialStreams:
         return self._block[:, j]
 
     def choose(self, probs) -> np.ndarray:
-        """``choose``'s rule for every trial at once, each with its own next
-        uniform; ``cumsum`` adds in the same order as the scalar loop."""
-        probs = np.asarray(probs)
-        hit = (self.random()[:, None] < np.cumsum(probs, axis=-1)) & (
-            probs >= MIN_BRANCH_PROB
-        )
-        return np.where(hit.any(axis=-1), hit.argmax(axis=-1), probs.argmax(axis=-1))
+        return _choose_each(self.random(), probs)
+
+
+class Uniforms:
+    """Pre-drawn uniforms, one row per batch row: the k-th call of
+    ``random()`` returns column k of ``table``.
+
+    A session draws each phase's uniforms from its one generator up front,
+    in the order its groups would consume them one at a time, and hands
+    them to the batched phase through this source.  Asking for more
+    columns than were drawn raises, so a phase that consumes more draws
+    than its table holds cannot read past it.
+    """
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self._drawn = 0
+
+    def random(self) -> np.ndarray:
+        if self._drawn == self.table.shape[1]:
+            raise ValueError(f"all {self._drawn} pre-drawn uniform columns are used")
+        self._drawn += 1
+        return self.table[:, self._drawn - 1]
+
+    def choose(self, probs) -> np.ndarray:
+        return _choose_each(self.random(), probs)
+

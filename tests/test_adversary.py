@@ -8,6 +8,7 @@ from qsdc_swap.adversary import (
     AttackStrategy,
     EveMemory,
     apply_attack,
+    attack_footprint,
     eve_guess_bits,
     finalize_attack,
 )
@@ -254,3 +255,15 @@ def test_finalize_replace_after_enables_exact_guess():
         finalize_attack(AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, memory, rng)
         guesses = eve_guess_bits(memory, [], [EncodingAnnouncement(1, alice)])
         assert guesses == {1: op}
+
+
+def test_attack_footprint_counts_draws_and_fresh_ids_per_group():
+    expected = {
+        AttackStrategy.NONE: (0, 0),
+        AttackStrategy.INTERCEPT_MEASURE_RESEND: (1, 2),
+        AttackStrategy.REPLACE_MEASURE_AFTER: (0, 4),
+        AttackStrategy.REPLACE_MEASURE_BEFORE: (2, 4),
+        AttackStrategy.ANCILLA_PASSIVE: (0, 2),
+        AttackStrategy.ANCILLA_CORRECTIVE: (1, 2),
+    }
+    assert {s: attack_footprint(s) for s in AttackStrategy} == expected

@@ -1,7 +1,9 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
+from scipy.stats import power_divergence
 
 import oracles
 from qsdc_swap import analysis
@@ -22,7 +24,14 @@ from qsdc_swap.analysis import (
     sweep_report,
 )
 from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp
-from qsdc_swap.protocol import DetectionPredicate, EncodeTarget, Verdict, single_op_policy
+from qsdc_swap.protocol import (
+    DetectionPredicate,
+    EncodeTarget,
+    SessionConfig,
+    Verdict,
+    run_session,
+    single_op_policy,
+)
 from qsdc_swap.qcore import BELL_KINDS
 
 STRATEGIES = list(AttackStrategy)
@@ -184,6 +193,41 @@ def test_two_group_detection_composes_iid(strategy, predicate):
     assert abs(sum(l.prob for l in leaves) - 1.0) < 1e-9
     joint = sum(l.prob for l in leaves if l.verdict is Verdict.EVE_DETECTED)
     assert abs(joint - session_detection(p1, 2)) < 1e-9
+
+
+def _session_cell(verdict: Verdict, decoded: str, bits: str) -> int:
+    """0: detected, 1: clean and decoded right, 2: clean and decoded wrong."""
+    if verdict is not Verdict.CLEAN:
+        return 0
+    return 1 if decoded == bits else 2
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_sampled_sessions_match_enumerated_leaves(strategy):
+    # Seeded two-group sessions with one checking group, split by which
+    # group the partition drew, against the session enumerator checking
+    # that group: a G-test over the three outcome cells.
+    bits, sessions = "10", 400
+    observed = {1: np.zeros(3), 2: np.zeros(3)}
+    for seed in range(sessions):
+        transcript = run_session(SessionConfig(2, 1, bits, seed=seed), strategy)
+        (ann,) = transcript.checking
+        cell = _session_cell(transcript.verdict, transcript.decoded_bits, bits)
+        observed[ann.group_index][cell] += 1
+    for checked in (1, 2):
+        exact = np.zeros(3)
+        for leaf in enumerate_session_leaves(2, [checked], strategy, message_bits=bits):
+            exact[_session_cell(leaf.verdict, leaf.decoded_bits, bits)] += leaf.prob
+        assert abs(exact.sum() - 1.0) < 1e-9
+        counts = observed[checked]
+        assert counts.sum() > sessions / 4
+        possible = exact > 1e-12
+        assert not counts[~possible].any()
+        if possible.sum() > 1:
+            test = power_divergence(
+                counts[possible], exact[possible] * counts.sum(), lambda_="log-likelihood"
+            )
+            assert test.pvalue > 1e-3, (checked, counts, exact)
 
 
 def test_node_budget_enforced(monkeypatch):

@@ -259,3 +259,34 @@ def test_session_csv_projection(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "phase,group,op,alice,bob,passed,word"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [
+        ({"mode": "session", "seed": 1, "n_groups": "3", "bits": "01"}, "n_groups"),
+        ({"mode": "session", "seed": 1, "n_groups": 2.0, "bits": "0101"}, "n_groups"),
+        ({"mode": "session", "seed": True, "bits": "01"}, "seed"),
+        ({"mode": "session", "seed": 1, "bits": 1}, "bits"),
+    ],
+)
+def test_config_file_value_types_exit_2(config, key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        run_cli("--config", str(path))
+    assert err.value.code == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_file_format_choice_exits_2(tmp_path, capsys):
+    out = tmp_path / "session.xml"
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps({"mode": "session", "seed": 1, "bits": "01", "format": "xml", "out": str(out)})
+    )
+    with pytest.raises(SystemExit) as err:
+        run_cli("--config", str(path))
+    assert err.value.code == 2
+    assert "config key 'format' must be one of json, csv" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -14,6 +16,7 @@ from qsdc_swap.protocol import (
     GroupRole,
     Register,
     SessionConfig,
+    UNIFORM_POLICY,
     SessionTranscript,
     Verdict,
     build_groups,
@@ -232,6 +235,16 @@ def test_session_config_validation():
         SessionConfig(n_groups=2, n_checking=1, message_bits="011")
     with pytest.raises(ValueError):
         SessionConfig(n_groups=2, n_checking=1, message_bits="ab")
+    with pytest.raises(ValueError, match="0/1 string"):
+        SessionConfig(n_groups=1, n_checking=0, message_bits=["0", "1"])
+
+
+@pytest.mark.parametrize("field", ["n_groups", "n_checking", "seed"])
+@pytest.mark.parametrize("value", [2.0, "2", True, None])
+def test_session_config_counts_and_seed_must_be_integers(field, value):
+    values = {"n_groups": 2, "n_checking": 1, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SessionConfig(message_bits="01", **values)
 
 
 def test_check_passes_predicates():
@@ -335,6 +348,17 @@ def test_draw_op_batch_matches_per_trial_draws(policy):
     assert [ENCODING_OPS[i] for i in drawn] == expected
 
 
+def test_register_take_selects_rows_and_shares_single_states():
+    plus = make_bell(BellKind.PSI_PLUS, 1, 2)
+    batch = make_bell(np.array([0, 1, 2, 3]), 3, 4)
+    register = Register([plus, batch])
+    taken = register.take([3, 1])
+    assert taken.factor_state(1, 2) is plus
+    np.testing.assert_array_equal(taken.factor_state(3, 4).amps, batch.amps[[3, 1]])
+    assert register.factor_state(3, 4) is batch
+    assert taken.allocate(1) == register.allocate(1) == (5,)
+
+
 def test_register_apply_single_where_mask():
     plus = make_bell(BellKind.PSI_PLUS, 1, 2)
     minus = make_bell(BellKind.PSI_MINUS, 1, 2)
@@ -345,3 +369,57 @@ def test_register_apply_single_where_mask():
     amps = register.factor_state(1, 2).amps
     assert abs(abs(np.vdot(minus.amps, amps[0])) - 1.0) < 1e-12
     np.testing.assert_allclose(amps[1], plus.amps, atol=1e-15)
+
+
+# (n_groups, n_checking) of the frozen transcript grid: each size with no,
+# some and all groups checking.
+_DIGEST_SIZES = [
+    (n_groups, n_checking)
+    for n_groups, checks in [
+        (1, (0, 1)),
+        (2, (0, 1, 2)),
+        (3, (0, 1, 3)),
+        (5, (0, 2, 5)),
+        (33, (0, 8, 33)),
+        (256, (0, 64, 256)),
+    ]
+    for n_checking in checks
+]
+_DIGEST_POLICIES = [UNIFORM_POLICY] + [single_op_policy(op) for op in ENCODING_OPS]
+# SHA-256 of the concatenated to_json() of every session in _digest_grid(),
+# as written by the one-group-at-a-time session of commit 37839f5.
+TRANSCRIPT_GRID_SHA256 = "1ee8842223821ebc7b93ac7b929c0105aa49406b6c41102ab8ceb4781d504aab"
+
+
+def _digest_grid():
+    """(config, strategy) for every strategy, predicate, encode target,
+    checking policy and size; seed and message bits come from the position
+    in the grid."""
+    grid = itertools.product(
+        AttackStrategy, DetectionPredicate, EncodeTarget, _DIGEST_POLICIES, _DIGEST_SIZES
+    )
+    for seed, (strategy, predicate, target, policy, (n_groups, n_checking)) in enumerate(
+        grid, start=1
+    ):
+        bits = np.random.default_rng(seed).integers(0, 2, 2 * (n_groups - n_checking))
+        config = SessionConfig(
+            n_groups=n_groups,
+            n_checking=n_checking,
+            message_bits="".join(map(str, bits)),
+            checking_op_policy=policy,
+            encode_target=target,
+            predicate=predicate,
+            seed=seed,
+        )
+        yield config, strategy
+
+
+def _grid_digest() -> str:
+    digest = hashlib.sha256()
+    for config, strategy in _digest_grid():
+        digest.update(run_session(config, strategy).to_json().encode())
+    return digest.hexdigest()
+
+
+def test_transcript_grid_digest_is_frozen():
+    assert _grid_digest() == TRANSCRIPT_GRID_SHA256

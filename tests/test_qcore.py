@@ -24,6 +24,8 @@ from qsdc_swap.qcore import (
     equal_up_to_phase,
     make_bell,
     TrialStreams,
+    Uniforms,
+    choose,
     make_rng,
     overlap,
     philox_block,
@@ -331,6 +333,39 @@ def test_trial_streams_reject_bad_range():
         TrialStreams(0, 5, 4)
     with pytest.raises(ValueError):
         TrialStreams(0, -1, 4)
+
+
+# Outcome weights for choose's rule: a zero and a sub-threshold weight, a
+# total short of 1 (a uniform past it takes the likeliest outcome), and a
+# certain outcome.
+CHOOSE_PROBS = [
+    [0.25, 0.25, 0.25, 0.25],
+    [0.0, 0.5, 1e-13, 0.5],
+    [0.2, 0.3, 0.1],
+    [0.0, 0.0, 1.0, 0.0],
+    [0.1, 0.2, 0.3, 0.4],
+]
+
+
+def test_uniforms_choose_matches_scalar_choose_column_by_column():
+    # row t of the table is what make_rng(5, t) draws one call at a time
+    rows = 400
+    table = np.stack([make_rng(5, t).random(len(CHOOSE_PROBS)) for t in range(rows)])
+    source = Uniforms(table)
+    got = np.stack([source.choose(probs) for probs in CHOOSE_PROBS], axis=1)
+    for t in range(rows):
+        rng = make_rng(5, t)
+        assert got[t].tolist() == [choose(rng, probs) for probs in CHOOSE_PROBS]
+
+
+def test_uniforms_raise_past_the_drawn_columns():
+    source = Uniforms(np.full((3, 2), 0.5))
+    source.random()
+    source.choose([0.5, 0.5])
+    with pytest.raises(ValueError, match="all 2 pre-drawn uniform columns"):
+        source.random()
+    with pytest.raises(ValueError):
+        Uniforms(np.zeros((3, 0))).choose([1.0])
 
 
 def test_batched_ops_match_single_states_trial_by_trial():
