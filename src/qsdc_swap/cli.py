@@ -14,7 +14,7 @@ import sys
 
 from . import analysis, protocol
 from .adversary import AttackStrategy
-from .protocol import DetectionPredicate, SessionConfig
+from .protocol import DetectionPredicate, SessionConfig, SessionTranscript
 
 MODES = ("session", "detect", "leakage", "identities", "sweep")
 
@@ -111,19 +111,13 @@ def emit_report(report: dict | str, fmt: str, path: str) -> None:
         fh.write(payload)
 
 
-def _transcript_csv(doc: dict) -> str:
+def _transcript_csv(transcript: SessionTranscript) -> str:
     lines = ["phase,group,op,alice,bob,passed,word"]
-    for entry in doc["checking"]:
-        lines.append(
-            f"checking,{entry['group']},{entry['op']},{entry['alice']},"
-            f"{entry['bob']},{entry['passed']},"
-        )
-    words = doc["decoded_bits"]
-    for i, entry in enumerate(doc["encoding"]):
-        word = words[2 * i : 2 * i + 2]
-        lines.append(
-            f"encoding,{entry['group']},,{entry['alice']},{entry['bob']},,{word}"
-        )
+    for group, op, alice, bob, passed in transcript.checking.rows():
+        lines.append(f"checking,{group},{op},{alice},{bob},{passed},")
+    words = transcript.decoded_bits
+    for i, (group, alice, bob) in enumerate(transcript.encoding.rows()):
+        lines.append(f"encoding,{group},,{alice},{bob},,{words[2 * i : 2 * i + 2]}")
     return "\n".join(lines) + "\n"
 
 
@@ -186,7 +180,7 @@ def _run_session(cfg: dict, parser: argparse.ArgumentParser) -> int:
             print(f"message intact: {doc['decoded_bits'] == bits}")
     if cfg["out"]:
         if (cfg["format"] or "json") == "csv":
-            emit_report(_transcript_csv(doc), "csv", cfg["out"])
+            emit_report(_transcript_csv(transcript), "csv", cfg["out"])
         else:
             emit_report(doc, "json", cfg["out"])
     return 0

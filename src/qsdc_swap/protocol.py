@@ -20,20 +20,29 @@ or the independent trials of ``analysis.monte_carlo``.  Factors then hold
 batched states, the RNG is a ``qcore.Uniforms`` or ``qcore.TrialStreams``
 that gives every row its own uniforms, and drawn ops and Bell outcomes
 are int arrays indexing ``ENCODING_OPS`` and ``BELL_KINDS``.
+
+The session's record, ``SessionTranscript``, keeps those arrays as they
+come: a group table and one table of records per role, each a set of
+columns.  It decodes, writes and reads the JSON transcript (README,
+Library use) a column at a time, without building one object per group.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum, unique
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import qcore
-from .bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp, decode_op, is_correlated, op_for_bits
+from .bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp, decode_op, is_correlated
 from .qcore import BELL_KINDS, BellKind, StateVector
 
 
@@ -99,8 +108,9 @@ def check_policy(policy: Mapping[EncodingOp, float]) -> None:
             raise ValueError(
                 f"checking op policy keys must be EncodingOp members, got {key!r}"
             )
-    total = sum(policy.values())
-    if abs(total - 1.0) > 1e-9 or any(w < 0 for w in policy.values()):
+    weights = list(policy.values())
+    # A NaN weight fails 0 <= w; without that test it would pass the sum test.
+    if not all(0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("checking op policy must be a probability distribution")
 
 
@@ -361,18 +371,19 @@ def partition_groups(
     groups: Sequence[Group], n_checking: int, rng: np.random.Generator
 ) -> list[Group]:
     """Assign roles: ``n_checking`` groups drawn uniformly become checking."""
-    if not 0 <= n_checking <= len(groups):
-        raise ValueError(f"n_checking {n_checking} outside [0, {len(groups)}]")
-    chosen = set(rng.permutation(len(groups))[:n_checking].tolist())
-    return [
-        Group(
-            g.index,
-            g.bob_qubits,
-            g.alice_qubits,
-            GroupRole.CHECKING if i in chosen else GroupRole.ENCODING,
-        )
-        for i, g in enumerate(groups)
-    ]
+    checking = _checking_mask(len(groups), n_checking, rng).tolist()
+    roles = [GroupRole.CHECKING if chosen else GroupRole.ENCODING for chosen in checking]
+    return [replace(g, role=role) for g, role in zip(groups, roles)]
+
+
+def _checking_mask(n_groups: int, n_checking: int, rng: np.random.Generator) -> np.ndarray:
+    """True for the ``n_checking`` of ``n_groups`` groups that one
+    ``rng.permutation`` draw makes checking."""
+    if not 0 <= n_checking <= n_groups:
+        raise ValueError(f"n_checking {n_checking} outside [0, {n_groups}]")
+    mask = np.zeros(n_groups, dtype=bool)
+    mask[rng.permutation(n_groups)[:n_checking]] = True
+    return mask
 
 
 @dataclass
@@ -428,6 +439,10 @@ def run_checking(
     return CheckingResult(announcements, bob_outcomes, passed)
 
 
+# The index into ENCODING_OPS of each two-bit word.
+_WORD_OPS = {op.bits: i for i, op in enumerate(ENCODING_OPS)}
+
+
 def run_encoding(
     register: Register,
     groups: Sequence[Group],
@@ -440,17 +455,20 @@ def run_encoding(
     Alice's announcements followed by Bob's measurements.  A batch takes
     either one message for every row or a sequence of one per row."""
     encoding = [g for g in groups if g.role is GroupRole.ENCODING]
-    messages = [message_bits] if isinstance(message_bits, str) else message_bits
+    single = isinstance(message_bits, str)
+    messages = [message_bits] if single else message_bits
     for bits in messages:
         if len(bits) != 2 * len(encoding):
             raise ValueError(f"{len(bits)} bits do not fill {len(encoding)} encoding groups")
+    words = [bits[i : i + 2] for bits in messages for i in range(0, len(bits), 2)]
+    try:
+        ops = np.array([_WORD_OPS[w] for w in words], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"no coding op for word {exc.args[0]!r}") from None
+    ops = ops.reshape(len(messages), len(encoding))
     announcements = []
     for i, g in enumerate(encoding):
-        words = [bits[2 * i : 2 * i + 2] for bits in messages]
-        if isinstance(message_bits, str):
-            matrix = op_for_bits(words[0]).matrix
-        else:
-            matrix = OP_MATRICES[[ENCODING_OPS.index(op_for_bits(w)) for w in words]]
+        matrix = OP_MATRICES[ops[0, i] if single else ops[:, i]]
         register.apply_single(g.travel_photon(encode_target), matrix)
         outcome = register.measure_bell(*g.alice_qubits, rng)
         announcements.append(EncodingAnnouncement(g.index, outcome))
@@ -472,55 +490,197 @@ def decode_message(
     return "".join(bits)
 
 
-@dataclass
+# A group's role in a transcript's group table is a code indexing ROLES;
+# None marks a group no partition has assigned.
+ROLES = (None, GroupRole.CHECKING, GroupRole.ENCODING)
+
+
+def _only(values: Sequence, types: set, what: str) -> None:
+    """Raise TypeError unless the type of every value is one of ``types``
+    (exactly: a bool is no int)."""
+    if not set(map(type, values)) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        raise TypeError(f"expected {what}, got {bad!r}")
+
+
+def _ints(values: Sequence) -> np.ndarray:
+    _only(values, {int}, "an integer")
+    return np.fromiter(values, np.int64, len(values))
+
+
+def _pairs(values: Sequence) -> np.ndarray:
+    _only(values, {list, tuple}, "a pair of integers")
+    if not set(map(len, values)) <= {2}:
+        bad = next(v for v in values if len(v) != 2)
+        raise TypeError(f"expected a pair of integers, got {bad!r}")
+    return _ints(list(chain.from_iterable(values))).reshape(-1, 2)
+
+
+def _flags(values: Sequence) -> np.ndarray:
+    _only(values, {bool}, "true or false")
+    return np.fromiter(values, bool, len(values))
+
+
+class _Column(NamedTuple):
+    """How a column reads and writes its JSON values: ``load`` turns a
+    sequence of values into the column, raising TypeError or ValueError on
+    any value it does not accept, and ``dump`` inverts it."""
+
+    load: Callable[[Sequence], np.ndarray]
+    dump: Callable[[np.ndarray], list] = np.ndarray.tolist
+
+
+def _coded(members: Sequence) -> _Column:
+    """A column of enum members, or None, held as indices into ``members``
+    and written as their values."""
+    values = [None if m is None else m.value for m in members]
+    codes = {value: code for code, value in enumerate(values)}
+
+    def load(items: Sequence) -> np.ndarray:
+        try:
+            return np.fromiter(map(codes.__getitem__, items), np.intp, len(items))
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not one of {values}") from None
+
+    return _Column(load, lambda column: list(map(values.__getitem__, column.tolist())))
+
+
+_INT, _PAIR, _FLAG = _Column(_ints), _Column(_pairs), _Column(_flags)
+_ROLE, _OP, _KIND = _coded(ROLES), _coded(ENCODING_OPS), _coded(BELL_KINDS)
+
+
+class _Table:
+    """Equal-length columns, one per dataclass field, that are a list of
+    JSON records keyed by the field names; ``kinds`` holds each column's
+    ``_Column`` in field order."""
+
+    kinds: tuple[_Column, ...]
+
+    def __len__(self) -> int:
+        return len(_layout(type(self)).columns(self)[0])
+
+    def rows(self) -> Iterator[tuple]:
+        """Each record's JSON values, in field order."""
+        columns = _layout(type(self)).columns(self)
+        return zip(*[kind.dump(column) for kind, column in zip(self.kinds, columns)])
+
+    @classmethod
+    def from_json(cls, records: list):
+        layout = _layout(cls)
+        columns = list(zip(*map(layout.values, records))) or [()] * len(layout.keys)
+        return cls(*[kind.load(column) for kind, column in zip(cls.kinds, columns)])
+
+
+class _Layout(NamedTuple):
+    keys: tuple[str, ...]  # the field names
+    columns: Callable  # a table's columns, in field order
+    values: Callable  # a JSON record's values, in field order
+
+
+@lru_cache(maxsize=None)
+def _layout(table: type) -> _Layout:
+    keys = tuple(f.name for f in fields(table))
+    return _Layout(keys, attrgetter(*keys), itemgetter(*keys))
+
+
+@dataclass(eq=False)
+class GroupTable(_Table):
+    """A session's groups: ``index`` (G,), Bob's kept qubits and Alice's
+    travel slots (G, 2), and ``role`` (G,) indexing ``ROLES``."""
+
+    index: np.ndarray
+    bob: np.ndarray
+    alice: np.ndarray
+    role: np.ndarray
+    kinds = (_INT, _PAIR, _PAIR, _ROLE)
+
+
+@dataclass(eq=False)
+class CheckingRecords(_Table):
+    """What Alice announced and Bob measured for each checking group, in
+    group order: ``op`` indexes ENCODING_OPS, ``alice`` and ``bob`` index
+    BELL_KINDS, and ``passed`` is Bob's comparison."""
+
+    group: np.ndarray
+    op: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
+    passed: np.ndarray
+    kinds = (_INT, _OP, _KIND, _KIND, _FLAG)
+
+
+@dataclass(eq=False)
+class EncodingRecords(_Table):
+    """Alice's announced and Bob's measured outcome for each encoding
+    group, in group order, indexing BELL_KINDS."""
+
+    group: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
+    kinds = (_INT, _KIND, _KIND)
+
+
+_TABLES = (("groups", GroupTable), ("checking", CheckingRecords), ("encoding", EncodingRecords))
+
+
+@lru_cache(maxsize=None)
+def _decode_words() -> np.ndarray:
+    """The decoded codeword of each joint outcome, indexed [bob, alice]."""
+    words = [[decode_op(bob, alice).bits for alice in BELL_KINDS] for bob in BELL_KINDS]
+    table = np.array(words, dtype=object)
+    table.flags.writeable = False
+    return table
+
+
+def _decode(bob: np.ndarray, alice: np.ndarray) -> str:
+    return "".join(_decode_words()[bob, alice].tolist())
+
+
+@dataclass(eq=False)
 class SessionTranscript:
-    """Observable history of one session.
+    """Observable history of one session, held as columns (README,
+    Library use); compare transcripts through ``to_json_dict``.
 
     A verdict other than clean means the session stopped before encoding,
     so ``encoding`` is empty and no message bits were transmitted.
     """
 
-    groups: list[Group]
-    checking: list[CheckingAnnouncement]
-    checking_bob: dict[int, BellKind]
-    checking_passed: dict[int, bool]
+    groups: GroupTable
+    checking: CheckingRecords
+    encoding: EncodingRecords
     verdict: Verdict
-    encoding: list[EncodingAnnouncement]
-    encoding_bob: dict[int, BellKind]
     decoded_bits: str
 
+    @property
+    def checking_passed(self) -> dict[int, bool]:
+        """Whether each checking group passed, by group index."""
+        return dict(zip(self.checking.group.tolist(), self.checking.passed.tolist()))
+
+    @property
+    def encoding_bob(self) -> dict[int, BellKind]:
+        """Bob's outcome for each encoding group, by group index."""
+        bob = [BELL_KINDS[b] for b in self.encoding.bob.tolist()]
+        return dict(zip(self.encoding.group.tolist(), bob))
+
     def redecode(self) -> str:
-        """Re-derive the message from announcements and Bob's outcomes."""
-        return decode_message(self.encoding, self.encoding_bob)
+        """Re-derive the message from announcements and Bob's outcomes,
+        taking the encoding groups in index order."""
+        order = np.argsort(self.encoding.group, kind="stable")
+        return _decode(self.encoding.bob[order], self.encoding.alice[order])
 
     def to_json_dict(self) -> dict:
         return {
             "groups": [
-                {
-                    "index": g.index,
-                    "bob": list(g.bob_qubits),
-                    "alice": list(g.alice_qubits),
-                    "role": g.role.value if g.role else None,
-                }
-                for g in self.groups
+                {"index": index, "bob": bob, "alice": alice, "role": role}
+                for index, bob, alice, role in self.groups.rows()
             ],
             "checking": [
-                {
-                    "group": ann.group_index,
-                    "op": ann.op.value,
-                    "alice": ann.alice_outcome.value,
-                    "bob": self.checking_bob[ann.group_index].value,
-                    "passed": self.checking_passed[ann.group_index],
-                }
-                for ann in self.checking
+                {"group": group, "op": op, "alice": alice, "bob": bob, "passed": passed}
+                for group, op, alice, bob, passed in self.checking.rows()
             ],
             "encoding": [
-                {
-                    "group": ann.group_index,
-                    "alice": ann.alice_outcome.value,
-                    "bob": self.encoding_bob[ann.group_index].value,
-                }
-                for ann in self.encoding
+                {"group": group, "alice": alice, "bob": bob}
+                for group, alice, bob in self.encoding.rows()
             ],
             "verdict": self.verdict.value,
             "decoded_bits": self.decoded_bits,
@@ -531,72 +691,52 @@ class SessionTranscript:
 
     @staticmethod
     def from_json_dict(data: dict) -> "SessionTranscript":
-        """Inverse of ``to_json_dict``; malformed input raises ValueError
-        naming the first missing or invalid field."""
-        groups = []
-        for i, g in enumerate(_field(data, "groups", "", list)):
-            where = f"groups[{i}]."
-            groups.append(
-                Group(
-                    index=_field(g, "index", where),
-                    bob_qubits=_field(g, "bob", where, tuple),
-                    alice_qubits=_field(g, "alice", where, tuple),
-                    role=_field(g, "role", where, _optional_role),
-                )
-            )
-        checking = []
-        checking_bob = {}
-        checking_passed = {}
-        for i, entry in enumerate(_field(data, "checking", "", list)):
-            where = f"checking[{i}]."
-            group = _field(entry, "group", where)
-            checking.append(
-                CheckingAnnouncement(
-                    group,
-                    _field(entry, "op", where, EncodingOp),
-                    _field(entry, "alice", where, BellKind),
-                )
-            )
-            checking_bob[group] = _field(entry, "bob", where, BellKind)
-            checking_passed[group] = _field(entry, "passed", where)
-        encoding = []
-        encoding_bob = {}
-        for i, entry in enumerate(_field(data, "encoding", "", list)):
-            where = f"encoding[{i}]."
-            group = _field(entry, "group", where)
-            encoding.append(
-                EncodingAnnouncement(group, _field(entry, "alice", where, BellKind))
-            )
-            encoding_bob[group] = _field(entry, "bob", where, BellKind)
-        return SessionTranscript(
-            groups=groups,
-            checking=checking,
-            checking_bob=checking_bob,
-            checking_passed=checking_passed,
-            verdict=_field(data, "verdict", "", Verdict),
-            encoding=encoding,
-            encoding_bob=encoding_bob,
-            decoded_bits=_field(data, "decoded_bits", ""),
-        )
+        """Inverse of ``to_json_dict``, reading each column in one step.
+        Malformed input raises ValueError naming the first missing or
+        invalid field."""
+        try:
+            tables = [table.from_json(_records(data[name])) for name, table in _TABLES]
+            return SessionTranscript(*tables, Verdict(data["verdict"]), _bits(data["decoded_bits"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            _name_bad_field(data)
+            raise ValueError(f"transcript is invalid: {exc}") from None
 
 
-def _optional_role(value) -> GroupRole | None:
-    return GroupRole(value) if value else None
+def _records(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
 
 
-def _field(entry, key: str, where: str, parse=None):
-    """``entry[key]``, through ``parse`` if given; malformed input raises a
-    ValueError naming the field as ``where + key``."""
+def _bits(value) -> str:
+    if not isinstance(value, str) or not set(value) <= {"0", "1"}:
+        raise ValueError(f"expected a 0/1 string, got {value!r}")
+    return value
+
+
+def _name_bad_field(data) -> None:
+    """Check ``data`` field by field, each value as a column of one, and
+    raise a ValueError naming the first missing or invalid field."""
+    for name, table in _TABLES:
+        for i, entry in enumerate(_field(data, name, "", _records)):
+            for key, kind in zip(_layout(table).keys, table.kinds):
+                _field(entry, key, f"{name}[{i}].", lambda value: kind.load([value]))
+    _field(data, "verdict", "", Verdict)
+    _field(data, "decoded_bits", "", _bits)
+
+
+def _field(entry, key: str, where: str, check):
+    """``entry[key]``; a ValueError names the field ``where + key`` if
+    ``entry`` lacks ``key`` or ``check`` rejects its value."""
     try:
         value = entry[key]
     except (KeyError, TypeError, IndexError):
         raise ValueError(f"transcript field {where + key!r} is missing") from None
-    if parse is None:
-        return value
     try:
-        return parse(value)
-    except (TypeError, ValueError) as exc:
+        check(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"transcript field {where + key!r} is invalid: {exc}") from None
+    return value
 
 
 def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
@@ -624,20 +764,28 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
         qcore.Uniforms(rng.random((cfg.n_groups, draws))),
         adversary.EveMemory(strategy=strategy),
     )
-    groups = partition_groups(
-        _session_groups(cfg.n_groups, template.alice_qubits, fresh), cfg.n_checking, rng
+    index = np.arange(1, cfg.n_groups + 1)
+    first, step = _travel_slots(cfg.n_groups, template.alice_qubits, fresh)
+    # Bob keeps 4g-3 and 4g-1 of group g, beside Alice's travel slots.
+    slots = (index[:, None] - 1) * (4, 4, *step) + (1, 3, *first)
+    mask = _checking_mask(cfg.n_groups, cfg.n_checking, rng)
+    groups = GroupTable(
+        index,
+        slots[:, :2],
+        slots[:, 2:],
+        np.where(mask, ROLES.index(GroupRole.CHECKING), ROLES.index(GroupRole.ENCODING)),
     )
-    checking = [g for g in groups if g.role is GroupRole.CHECKING]
-    encoding = [g for g in groups if g.role is GroupRole.ENCODING]
+    checking, encoding = np.flatnonzero(mask), np.flatnonzero(~mask)
 
-    announcements: list[CheckingAnnouncement] = []
-    checking_bob: dict[int, BellKind] = {}
-    passed: dict[int, bool] = {}
-    if checking:
+    # A phase that covers every group runs on the register itself, which
+    # no later phase reads.
+    none = np.zeros(0, dtype=np.intp)
+    checked = CheckingRecords(none, none, none, none, none.astype(bool))
+    if len(checking):
         # Alice's (op, outcome) pair per group, then Bob's outcome per group.
         uniforms = np.column_stack([rng.random((len(checking), 2)), rng.random(len(checking))])
         chk = run_checking(
-            register.take([g.index - 1 for g in checking]),
+            register if len(checking) == cfg.n_groups else register.take(checking),
             [replace(template, role=GroupRole.CHECKING)],
             qcore.Uniforms(uniforms),
             policy=cfg.checking_op_policy,
@@ -645,66 +793,38 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
             predicate=cfg.predicate,
         )
         (ann,) = chk.announcements
-        rows = zip(
-            checking,
-            ann.op.tolist(),
-            ann.alice_outcome.tolist(),
-            chk.bob_outcomes[1].tolist(),
-            chk.passed[1].tolist(),
+        checked = CheckingRecords(
+            groups.index[checking], ann.op, ann.alice_outcome, chk.bob_outcomes[1], chk.passed[1]
         )
-        for g, op, alice, bob, ok in rows:
-            announcements.append(
-                CheckingAnnouncement(g.index, ENCODING_OPS[op], BELL_KINDS[alice])
-            )
-            checking_bob[g.index] = BELL_KINDS[bob]
-            passed[g.index] = ok
-    verdict = Verdict.CLEAN if all(passed.values()) else Verdict.EVE_DETECTED
+    verdict = Verdict.CLEAN if checked.passed.all() else Verdict.EVE_DETECTED
 
-    enc_announcements: list[EncodingAnnouncement] = []
-    encoding_bob: dict[int, BellKind] = {}
-    decoded = ""
-    if verdict is Verdict.CLEAN and encoding:
+    encoded, decoded = EncodingRecords(none, none, none), ""
+    if verdict is Verdict.CLEAN and len(encoding):
         bits = cfg.message_bits
         # Alice's outcome per group, then Bob's outcome per group.
         enc = run_encoding(
-            register.take([g.index - 1 for g in encoding]),
+            register if len(encoding) == cfg.n_groups else register.take(encoding),
             [replace(template, role=GroupRole.ENCODING)],
             [bits[i : i + 2] for i in range(0, len(bits), 2)],
             qcore.Uniforms(rng.random((2, len(encoding))).T),
             encode_target=cfg.encode_target,
         )
         (ann,) = enc.announcements
-        rows = zip(encoding, ann.alice_outcome.tolist(), enc.bob_outcomes[1].tolist())
-        for g, alice, bob in rows:
-            enc_announcements.append(EncodingAnnouncement(g.index, BELL_KINDS[alice]))
-            encoding_bob[g.index] = BELL_KINDS[bob]
-        decoded = decode_message(enc_announcements, encoding_bob)
-
-    return SessionTranscript(
-        groups=groups,
-        checking=announcements,
-        checking_bob=checking_bob,
-        checking_passed=passed,
-        verdict=verdict,
-        encoding=enc_announcements,
-        encoding_bob=encoding_bob,
-        decoded_bits=decoded,
-    )
+        encoded = EncodingRecords(groups.index[encoding], ann.alice_outcome, enc.bob_outcomes[1])
+        decoded = _decode(encoded.bob, encoded.alice)
+    return SessionTranscript(groups, checked, encoded, verdict, decoded)
 
 
-def _session_groups(
+def _travel_slots(
     n_groups: int, template_alice: tuple[int, int], fresh: int
-) -> list[Group]:
-    """The session's groups, each pointing at its own copies of the
-    template's travel qubits: template id q <= 4 is group g's
-    ``4(g-1) + q``, and Eve's ids, ``fresh`` per group, follow the 4G
-    honest ones in group order, as one-at-a-time allocation hands them out.
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(first, step) of Alice's travel slots: group g's point at
+    ``first + step * (g - 1)``, its own copies of the template's travel
+    qubits.  Template id q <= 4 is group g's ``4(g-1) + q``, and Eve's ids,
+    ``fresh`` per group, follow the 4G honest ones in group order, as
+    one-at-a-time allocation hands them out.
     """
-    # group g's copy of q is first + step * (g - 1)
-    (first1, step1), (first2, step2) = (
-        (q, 4) if q <= 4 else (4 * n_groups + q - 4, fresh) for q in template_alice
+    first, step = zip(
+        *((q, 4) if q <= 4 else (4 * n_groups + q - 4, fresh) for q in template_alice)
     )
-    groups = build_groups(n_groups)
-    for i, g in enumerate(groups):
-        g.alice_qubits = (first1 + step1 * i, first2 + step2 * i)
-    return groups
+    return first, step

@@ -211,9 +211,9 @@ def test_sampled_sessions_match_enumerated_leaves(strategy):
     observed = {1: np.zeros(3), 2: np.zeros(3)}
     for seed in range(sessions):
         transcript = run_session(SessionConfig(2, 1, bits, seed=seed), strategy)
-        (ann,) = transcript.checking
+        (checked,) = transcript.checking.group.tolist()
         cell = _session_cell(transcript.verdict, transcript.decoded_bits, bits)
-        observed[ann.group_index][cell] += 1
+        observed[checked][cell] += 1
     for checked in (1, 2):
         exact = np.zeros(3)
         for leaf in enumerate_session_leaves(2, [checked], strategy, message_bits=bits):

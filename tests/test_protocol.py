@@ -1,12 +1,17 @@
 import hashlib
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qsdc_swap.adversary import AttackStrategy
+from qsdc_swap.analysis import monte_carlo
 from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp
 from qsdc_swap.protocol import (
     DetectionPredicate,
@@ -173,13 +178,13 @@ def test_session_mixed_roles_round_trip():
 
 def test_session_without_checking_delivers():
     transcript = run_session(cfg(2, 0, bits="1001", seed=3))
-    assert transcript.checking == []
+    assert len(transcript.checking) == 0
     assert transcript.decoded_bits == "1001"
 
 
 def test_session_all_checking_no_message():
     transcript = run_session(cfg(2, 2, seed=3))
-    assert transcript.encoding == []
+    assert len(transcript.encoding) == 0
     assert transcript.decoded_bits == ""
     assert transcript.verdict is Verdict.CLEAN
 
@@ -195,7 +200,7 @@ def test_abort_blocks_encoding():
         )
         if transcript.verdict is Verdict.EVE_DETECTED:
             detected += 1
-            assert transcript.encoding == []
+            assert len(transcript.encoding) == 0
             assert transcript.decoded_bits == ""
     assert detected >= 8
 
@@ -218,6 +223,56 @@ def test_transcript_bad_bell_kind_is_named():
     doc["checking"][0]["bob"] = "phi*"
     with pytest.raises(ValueError, match=r"'checking\[0\]\.bob' is invalid"):
         SessionTranscript.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    ("name", "value"),
+    [
+        ("checking[0].group", "x"),
+        ("encoding[1].group", 2.0),
+        ("groups[0].index", 1.5),
+        ("groups[1].index", True),
+        ("checking[0].passed", "yes"),
+        ("checking[0].passed", 1),
+        ("groups[0].bob", "ab"),
+        ("groups[2].alice", [10, 12, 13]),
+        ("groups[2].alice", [10, False]),
+        ("decoded_bits", "01x1"),
+        ("decoded_bits", 111),
+    ],
+)
+def test_transcript_wrongly_typed_field_is_named(name, value):
+    doc = run_session(cfg(3, 1, bits="0111", seed=21)).to_json_dict()
+    *parents, key = [int(s) if s.isdigit() else s for s in re.findall(r"\w+", name)]
+    entry = doc
+    for step in parents:
+        entry = entry[step]
+    entry[key] = value
+    with pytest.raises(ValueError, match=re.escape(f"'{name}' is invalid")):
+        SessionTranscript.from_json_dict(doc)
+
+
+def test_transcript_names_first_bad_field_in_record_order():
+    doc = run_session(cfg(3, 1, bits="0111", seed=21)).to_json_dict()
+    doc["groups"][2]["index"] = "3"
+    doc["groups"][1]["role"] = "sender"
+    with pytest.raises(ValueError, match=r"'groups\[1\]\.role' is invalid"):
+        SessionTranscript.from_json_dict(doc)
+
+
+def test_transcript_columns_match_json_records():
+    transcript = run_session(cfg(5, 2, bits="011011", seed=4))
+    doc = transcript.to_json_dict()
+    checking = transcript.checking
+    assert checking.group.tolist() == [e["group"] for e in doc["checking"]]
+    assert [ENCODING_OPS[i].value for i in checking.op] == [e["op"] for e in doc["checking"]]
+    assert [BELL_KINDS[i].value for i in checking.bob] == [e["bob"] for e in doc["checking"]]
+    assert transcript.checking_passed == {e["group"]: e["passed"] for e in doc["checking"]}
+    encoding = transcript.encoding
+    assert [BELL_KINDS[i].value for i in encoding.alice] == [e["alice"] for e in doc["encoding"]]
+    assert transcript.encoding_bob == {e["group"]: KIND[e["bob"]] for e in doc["encoding"]}
+    assert transcript.groups.bob.tolist() == [g["bob"] for g in doc["groups"]]
+    assert transcript.groups.alice.tolist() == [g["alice"] for g in doc["groups"]]
 
 
 def test_transcript_bytes_deterministic():
@@ -327,6 +382,23 @@ def test_policy_keys_must_be_encoding_ops(policy):
         cfg(1, 1, checking_op_policy=policy)
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [
+        {EncodingOp.U0: math.nan, EncodingOp.U1: 1.0},
+        {EncodingOp.U0: 1.0, EncodingOp.U3: math.nan},
+        {EncodingOp.U2: math.nan},
+    ],
+)
+def test_policy_rejects_nan_weights(policy):
+    with pytest.raises(ValueError, match="probability distribution"):
+        check_policy(policy)
+    with pytest.raises(ValueError, match="probability distribution"):
+        cfg(1, 1, checking_op_policy=policy)
+    with pytest.raises(ValueError, match="probability distribution"):
+        monte_carlo(AttackStrategy.NONE, 10, seed=0, policy=policy)
+
+
 def test_policy_must_be_a_distribution():
     check_policy(single_op_policy(EncodingOp.U3))
     for policy in ({EncodingOp.U0: 0.5}, {EncodingOp.U0: 1.5, EncodingOp.U1: -0.5}):
@@ -423,3 +495,41 @@ def _grid_digest() -> str:
 
 def test_transcript_grid_digest_is_frozen():
     assert _grid_digest() == TRANSCRIPT_GRID_SHA256
+
+
+@st.composite
+def sessions(draw):
+    """A run_session config and strategy: any size up to 64 groups, any
+    checking count, policy, target and predicate, and a 64-bit seed."""
+    n_groups = draw(st.integers(1, 64))
+    n_checking = draw(st.integers(0, n_groups))
+    n_bits = 2 * (n_groups - n_checking)
+    config = SessionConfig(
+        n_groups=n_groups,
+        n_checking=n_checking,
+        message_bits=draw(st.text("01", min_size=n_bits, max_size=n_bits)),
+        checking_op_policy=draw(st.sampled_from(_DIGEST_POLICIES)),
+        encode_target=draw(st.sampled_from(EncodeTarget)),
+        predicate=draw(st.sampled_from(DetectionPredicate)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return config, draw(st.sampled_from(AttackStrategy))
+
+
+@given(session=sessions())
+@settings(max_examples=60, deadline=None)
+def test_session_properties(session):
+    config, strategy = session
+    transcript = run_session(config, strategy)
+    honest = strategy is AttackStrategy.NONE
+    if honest and config.predicate is DetectionPredicate.ANNOUNCED_OP:
+        assert transcript.verdict is Verdict.CLEAN
+    if transcript.verdict is Verdict.CLEAN:
+        if honest:
+            assert transcript.decoded_bits == config.message_bits
+    else:
+        assert len(transcript.encoding) == 0
+        assert transcript.decoded_bits == ""
+    assert transcript.redecode() == transcript.decoded_bits
+    text = transcript.to_json()
+    assert SessionTranscript.from_json_dict(json.loads(text)).to_json() == text
