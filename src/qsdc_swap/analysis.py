@@ -6,8 +6,9 @@ Detection probabilities come from two deliberately separate code paths:
 * tree enumeration, which replays the live adversary and protocol code
   (the round ``monte_carlo`` samples) under scripted outcomes: every
   random choice goes through ``qcore.choose``, and each replay extends
-  every outcome prefix by all outcomes of its next choice, with exact
-  weights, and
+  every outcome prefix by all outcomes of its next branching choice, with
+  exact weights; a choice with a single possible outcome is taken within
+  the pass and costs none of its own, and
 * swap-algebra arithmetic, which never touches amplitudes and works only
   with the cached decomposition tables.
 
@@ -16,7 +17,7 @@ set.  Reports carry both routes, next to the claimed reference value where
 one exists; Monte Carlo sampling exists to validate the exact numbers and
 to cover configurations whose enumeration would blow the node budget (set
 via the ``QSDC_NODE_BUDGET`` environment variable, default one million
-replayed rows).
+rows replayed over all passes).
 """
 
 from __future__ import annotations
@@ -177,13 +178,18 @@ def session_detection(p: float, m: int) -> float:
 class _Script:
     """Outcome source that replays one outcome prefix per batch row.
 
-    Choices past the prefixes take each row's likeliest outcome, and the
-    first of them records every row's outcome probabilities in ``open``.
+    Past the prefixes, a choice with one outcome at or above
+    ``qcore.MIN_BRANCH_PROB`` in every row is forced: it is taken in the
+    same pass, and its outcome and probability columns go to ``forced``.
+    The first choice with more outcomes in some row records every row's
+    outcome probabilities in ``open``; from there on each choice takes the
+    row's likeliest outcome.
     """
 
     def __init__(self, prefixes: np.ndarray):
         self.prefixes = prefixes
         self.depth = 0
+        self.forced: list[tuple[np.ndarray, np.ndarray]] = []
         self.open: np.ndarray | None = None
 
     def choose(self, probs) -> np.ndarray:
@@ -191,19 +197,26 @@ class _Script:
         self.depth += 1
         if self.depth <= self.prefixes.shape[1]:
             return self.prefixes[:, self.depth - 1]
+        outcome = probs.argmax(axis=-1)
         if self.open is None:
-            self.open = probs
-        return probs.argmax(axis=-1)
+            if (np.count_nonzero(probs >= qcore.MIN_BRANCH_PROB, axis=-1) == 1).all():
+                self.forced.append((outcome, probs[np.arange(len(probs)), outcome]))
+            else:
+                self.open = probs
+        return outcome
 
 
 def _replay(round_fn):
     """Every outcome history of ``round_fn(rng)``, breadth first.
 
-    Each pass replays the round on all prefixes so far and extends every
-    row by each non-negligible outcome of its first unscripted choice.
-    Returns the prefixes in lexicographic order, their exact weights and
-    the last pass's result, which holds one outcome per history.  Rows
-    replayed over all passes count against the node budget.
+    Each pass replays the round on all prefixes so far, takes the forced
+    choices it meets, and extends every row by each non-negligible outcome
+    of its first real branching, so a choice with one possible outcome
+    costs no pass of its own.  Prefixes hold one column per choice, and
+    weights take each choice's probability in choice order.  Returns the
+    prefixes in lexicographic order, their exact weights and the last
+    pass's result, which holds one outcome per history.  Rows replayed
+    over all passes count against the node budget.
     """
     raw = os.environ.get(NODE_BUDGET_ENV, str(DEFAULT_NODE_BUDGET))
     try:
@@ -223,6 +236,9 @@ def _replay(round_fn):
             )
         script = _Script(prefixes)
         result = round_fn(script)
+        for outcome, p in script.forced:
+            weights = weights * p
+            prefixes = np.column_stack([prefixes, outcome])
         if script.open is None:
             return prefixes, weights, result
         rows, outcomes = np.nonzero(script.open >= qcore.MIN_BRANCH_PROB)
@@ -430,6 +446,11 @@ class SessionLeaf:
     encoding: tuple[tuple[int, BellKind, BellKind], ...]
 
 
+def _rows(n: int, columns: list) -> list[tuple]:
+    """The ``n`` rows of ``columns`` as tuples; empty ones without columns."""
+    return list(zip(*columns)) or [()] * n
+
+
 def enumerate_session_leaves(
     n_groups: int,
     checking_indices: Sequence[int],
@@ -443,12 +464,14 @@ def enumerate_session_leaves(
     """Every measurement branch of a whole session, with exact weights.
 
     Replays ``run_session``'s phases with the groups in
-    ``checking_indices`` checking; a history that fails the check is one
-    leaf without encoding.
+    ``checking_indices`` (distinct integers in ``1..n_groups``) checking;
+    a history that fails the check is one leaf without encoding.
     """
-    checking = set(checking_indices)
-    if not checking <= set(range(1, n_groups + 1)):
-        raise ValueError(f"bad checking indices {sorted(checking)}")
+    checking: set[int] = set()
+    for index in checking_indices:
+        if type(index) is not int or not 1 <= index <= n_groups or index in checking:
+            raise ValueError(f"bad checking index {index!r}: need distinct ints in 1..{n_groups}")
+        checking.add(index)
     policy = UNIFORM_POLICY if policy is None else policy
     cfg = SessionConfig(
         n_groups, len(checking), message_bits, policy, encode_target, predicate
@@ -463,42 +486,38 @@ def enumerate_session_leaves(
         return chk, enc, checked
 
     prefixes, prob, (chk, enc, checked) = _replay(session)
-    clean = np.broadcast_to(chk.clean, prob.shape)
-    passing = np.flatnonzero(clean)
-    failing = np.flatnonzero(~clean)
-
-    def records(i: int) -> tuple:
-        return tuple(
-            (
-                a.group_index,
-                ENCODING_OPS[a.op[i]],
-                BELL_KINDS[a.alice_outcome[i]],
-                BELL_KINDS[chk.bob_outcomes[a.group_index][i]],
-                bool(chk.passed[a.group_index][i]),
-            )
-            for a in chk.announcements
-        )
-
-    leaves = []
-    for i in passing.tolist():
-        encoding = tuple(
-            (
-                a.group_index,
-                BELL_KINDS[a.alice_outcome[i]],
-                BELL_KINDS[enc.bob_outcomes[a.group_index][i]],
-            )
-            for a in enc.announcements
-        )
-        bits = "".join(decode_op(bob, alice).bits for _, alice, bob in encoding)
-        leaves.append(SessionLeaf(float(prob[i]), Verdict.CLEAN, bits, records(i), encoding))
+    n = len(prob)
+    op_of, kind_of = np.array(ENCODING_OPS, dtype=object), np.array(BELL_KINDS, dtype=object)
+    # Each history's records, zipped from whole per-group columns.
+    records = _rows(n, [
+        zip([a.group_index] * n, op_of[a.op].tolist(), kind_of[a.alice_outcome].tolist(),
+            kind_of[chk.bob_outcomes[a.group_index]].tolist(), chk.passed[a.group_index].tolist())
+        for a in chk.announcements
+    ])
+    encoding = _rows(n, [
+        zip([a.group_index] * n, kind_of[a.alice_outcome].tolist(),
+            kind_of[enc.bob_outcomes[a.group_index]].tolist())
+        for a in enc.announcements
+    ])
+    bits = np.full(n, "", dtype=object)
+    for a in enc.announcements:
+        bits += protocol._decode_words()[enc.bob_outcomes[a.group_index], a.alice_outcome]
+    bits = bits.tolist()
+    probs = prob.tolist()
+    clean = np.broadcast_to(chk.clean, n)
+    leaves = [
+        SessionLeaf(probs[i], Verdict.CLEAN, bits[i], records[i], encoding[i])
+        for i in np.flatnonzero(clean).tolist()
+    ]
     # A failed check ends the session, so its rows differ only in encoding
     # outcomes replayed after the check: each checking history is one leaf.
+    failing = np.flatnonzero(~clean)
     _, first, history = np.unique(
         prefixes[failing, :checked], axis=0, return_index=True, return_inverse=True
     )
     merged = np.bincount(history.reshape(-1), prob[failing], len(first))
     for i, p in zip(failing[first].tolist(), merged.tolist()):
-        leaves.append(SessionLeaf(p, Verdict.EVE_DETECTED, "", records(i), ()))
+        leaves.append(SessionLeaf(p, Verdict.EVE_DETECTED, "", records[i], ()))
     return leaves
 
 

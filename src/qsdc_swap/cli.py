@@ -287,6 +287,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except analysis.EnumerationBudgetError as exc:
+        print(
+            f"error: {exc}; raise {analysis.NODE_BUDGET_ENV} or sample with --trials",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,20 +180,67 @@ def test_replace_attack_joint_outcomes_uniform():
         assert abs(p - 1.0 / 16.0) < 1e-9
 
 
+# Every strategy x predicate x target cell at two groups, and the cheap
+# strategies at three; all groups check.
+IID_CELLS = [
+    (2, strategy, predicate, target)
+    for strategy in STRATEGIES
+    for predicate in PREDICATES
+    for target in EncodeTarget
+] + [
+    (3, strategy, predicate, target)
+    for strategy in (AttackStrategy.NONE, AttackStrategy.INTERCEPT_MEASURE_RESEND)
+    for predicate in PREDICATES
+    for target in EncodeTarget
+]
+
+
+@pytest.mark.parametrize("n,strategy,predicate,target", IID_CELLS)
+def test_two_group_detection_composes_iid(n, strategy, predicate, target):
+    # Measures the claim in exact_detection's docstring: detection is
+    # independent across groups, so m groups fail with session_detection(p, m).
+    p1 = exact_detection(strategy, predicate, encode_target=target)
+    leaves = enumerate_session_leaves(
+        n, range(1, n + 1), strategy, predicate=predicate, encode_target=target
+    )
+    assert abs(sum(l.prob for l in leaves) - 1.0) < 1e-12
+    joint = sum(l.prob for l in leaves if l.verdict is Verdict.EVE_DETECTED)
+    assert abs(joint - session_detection(p1, n)) < 1e-12
+
+
 @pytest.mark.parametrize(
-    "strategy,predicate",
+    "n_groups,checking,named",
     [
-        (AttackStrategy.REPLACE_MEASURE_AFTER, DetectionPredicate.ANNOUNCED_OP),
-        (AttackStrategy.ANCILLA_PASSIVE, DetectionPredicate.ANNOUNCED_OP),
-        (AttackStrategy.INTERCEPT_MEASURE_RESEND, DetectionPredicate.STRICT_U0),
+        (2, [1.0], "checking index 1.0:"),
+        (2, [True], "checking index True:"),
+        (2, [1, 1], "checking index 1:"),
+        (2.0, [1], "n_groups must be an integer, got 2.0"),
     ],
 )
-def test_two_group_detection_composes_iid(strategy, predicate):
-    p1 = exact_detection(strategy, predicate)
-    leaves = enumerate_session_leaves(2, [1, 2], strategy, predicate=predicate)
-    assert abs(sum(l.prob for l in leaves) - 1.0) < 1e-9
-    joint = sum(l.prob for l in leaves if l.verdict is Verdict.EVE_DETECTED)
-    assert abs(joint - session_detection(p1, 2)) < 1e-9
+def test_session_leaves_reject_bad_indices(n_groups, checking, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        enumerate_session_leaves(n_groups, checking)
+
+
+def test_replay_takes_forced_choices_in_pass(monkeypatch):
+    # A choice with one possible outcome in every row costs no pass:
+    # Bob's outcome after an honest check, for one.
+    passes = []
+    session_round = analysis._session_round
+
+    def counted(*args):
+        passes.append(1)
+        return session_round(*args)
+
+    monkeypatch.setattr(analysis, "_session_round", counted)
+    enumerate_session_leaves(3, [1, 2, 3])
+    assert len(passes) == 7
+    counts = []
+    for strategy in STRATEGIES:
+        passes.clear()
+        group_leaves(strategy)
+        counts.append(len(passes))
+    assert counts == [3, 3, 4, 5, 4, 4]
 
 
 def _session_cell(verdict: Verdict, decoded: str, bits: str) -> int:

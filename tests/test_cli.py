@@ -148,6 +148,14 @@ def test_detect_bad_node_budget_exits_2(monkeypatch, capsys):
     assert "QSDC_NODE_BUDGET" in capsys.readouterr().err
 
 
+def test_detect_budget_overflow_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("QSDC_NODE_BUDGET", "10")
+    assert run_cli("--mode", "detect", "--strategy", "replace-before") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "QSDC_NODE_BUDGET" in err and "--trials" in err
+
+
 def test_leakage_mode(capsys, tmp_path):
     out = tmp_path / "leak.json"
     code = run_cli("--mode", "leakage", "--strategy", "measure-resend", "--out", str(out))
