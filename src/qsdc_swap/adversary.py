@@ -14,19 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from . import qcore
 from .bellmap import EncodingOp, apply_encoding, invert_encoding
-from .protocol import (
-    CheckingAnnouncement,
-    EncodingAnnouncement,
-    Group,
-    Register,
-    SessionConfig,
-    prepare_registers,
-)
+from .protocol import Group, Register, SessionConfig, prepare_registers
 from .qcore import BellKind
 
 
@@ -179,11 +173,11 @@ def finalize_attack(
 
 
 def eve_guess_bits(
-    memory: EveMemory,
-    checking_announcements: list[CheckingAnnouncement],
-    encoding_announcements: list[EncodingAnnouncement],
+    memory: EveMemory, groups: Sequence[int], alice: Sequence[BellKind] | np.ndarray
 ) -> dict[int, EncodingOp | np.ndarray | None]:
-    """Eve's per-group inference of the encoded op, or None to abstain.
+    """Eve's inference of the op encoded in each of ``groups``, from Alice's
+    announced outcome there (``alice``, aligned with ``groups``), or None
+    to abstain.
 
     With a recorded Bell outcome that seeds the swapped correlation she can
     invert the announcement; without one she abstains.  The ancilla
@@ -193,20 +187,17 @@ def eve_guess_bits(
     array indexing ENCODING_OPS.
     """
     guesses: dict[int, EncodingOp | np.ndarray | None] = {}
-    for ann in encoding_announcements:
-        g = ann.group_index
+    for g, announced in zip(groups, alice):
         if (
             memory.strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND
             and g in memory.travel_outcomes
         ):
-            guesses[g] = invert_encoding(memory.travel_outcomes[g], ann.alice_outcome)
+            guesses[g] = invert_encoding(memory.travel_outcomes[g], announced)
         elif (
             memory.strategy is AttackStrategy.REPLACE_MEASURE_AFTER
             and g in memory.replacement_outcomes
         ):
-            guesses[g] = invert_encoding(
-                memory.replacement_outcomes[g], ann.alice_outcome
-            )
+            guesses[g] = invert_encoding(memory.replacement_outcomes[g], announced)
         else:
             guesses[g] = None
     return guesses

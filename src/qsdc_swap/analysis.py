@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,8 +46,6 @@ from .bellmap import (
 from .protocol import (
     DetectionPredicate,
     EncodeTarget,
-    EncodingAnnouncement,
-    GroupRole,
     SessionConfig,
     UNIFORM_POLICY,
     Verdict,
@@ -250,15 +248,11 @@ def _session_round(cfg: SessionConfig, strategy: AttackStrategy, checking: set[i
     """``run_session`` up to its verdict, with the groups in ``checking``
     checking: the round that sampling and enumeration share."""
     register, groups = prepare_registers(cfg)
-    groups = [
-        replace(g, role=GroupRole.CHECKING if g.index in checking else GroupRole.ENCODING)
-        for g in groups
-    ]
     memory = EveMemory(strategy=strategy)
     adv.apply_attack(strategy, register, groups, rng, memory)
     chk = protocol.run_checking(
         register,
-        groups,
+        [g for g in groups if g.index in checking],
         rng,
         policy=cfg.checking_op_policy,
         encode_target=cfg.encode_target,
@@ -320,9 +314,8 @@ def group_leaves(
     def group_round(rng):
         register, groups, memory, chk = _session_round(cfg, strategy, {1}, rng)
         adv.finalize_attack(strategy, register, groups, memory, rng)
-        (ann,) = chk.announcements
-        guesses = adv.eve_guess_bits(memory, [], [EncodingAnnouncement(1, ann.alice_outcome)])
-        return ann.op, ann.alice_outcome, chk.bob_outcomes[1], guesses[1]
+        (guess,) = adv.eve_guess_bits(memory, chk.group.tolist(), chk.alice).values()
+        return chk.op[0], chk.alice[0], chk.bob[0], guess
 
     _, prob, outcomes = _replay(group_round)
     return GroupLeaves(prob, *outcomes)
@@ -446,9 +439,12 @@ class SessionLeaf:
     encoding: tuple[tuple[int, BellKind, BellKind], ...]
 
 
-def _rows(n: int, columns: list) -> list[tuple]:
-    """The ``n`` rows of ``columns`` as tuples; empty ones without columns."""
-    return list(zip(*columns)) or [()] * n
+def _rows(n: int, group: np.ndarray, *columns: list) -> list[tuple]:
+    """Each of ``n`` histories' records, one (group, *fields) tuple per
+    group, from (groups, n) columns given as nested lists; empty tuples
+    without groups."""
+    per_group = [zip([g] * n, *fields) for g, *fields in zip(group.tolist(), *columns)]
+    return list(zip(*per_group)) or [()] * n
 
 
 def enumerate_session_leaves(
@@ -480,31 +476,21 @@ def enumerate_session_leaves(
     def session(rng):
         register, groups, _memory, chk = _session_round(cfg, strategy, checking, rng)
         checked = rng.depth
+        encoding = [g for g in groups if g.index not in checking]
         enc = protocol.run_encoding(
-            register, groups, message_bits, rng, encode_target=encode_target
+            register, encoding, message_bits, rng, encode_target=encode_target
         )
         return chk, enc, checked
 
     prefixes, prob, (chk, enc, checked) = _replay(session)
     n = len(prob)
     op_of, kind_of = np.array(ENCODING_OPS, dtype=object), np.array(BELL_KINDS, dtype=object)
-    # Each history's records, zipped from whole per-group columns.
-    records = _rows(n, [
-        zip([a.group_index] * n, op_of[a.op].tolist(), kind_of[a.alice_outcome].tolist(),
-            kind_of[chk.bob_outcomes[a.group_index]].tolist(), chk.passed[a.group_index].tolist())
-        for a in chk.announcements
-    ])
-    encoding = _rows(n, [
-        zip([a.group_index] * n, kind_of[a.alice_outcome].tolist(),
-            kind_of[enc.bob_outcomes[a.group_index]].tolist())
-        for a in enc.announcements
-    ])
-    bits = np.full(n, "", dtype=object)
-    for a in enc.announcements:
-        bits += protocol._decode_words()[enc.bob_outcomes[a.group_index], a.alice_outcome]
-    bits = bits.tolist()
+    records = _rows(n, chk.group, op_of[chk.op].tolist(), kind_of[chk.alice].tolist(),
+                    kind_of[chk.bob].tolist(), chk.passed.tolist())
+    encoding = _rows(n, enc.group, kind_of[enc.alice].tolist(), kind_of[enc.bob].tolist())
+    bits = protocol.decode_message(enc.bob, enc.alice) if len(enc) else [""] * n
     probs = prob.tolist()
-    clean = np.broadcast_to(chk.clean, n)
+    clean = np.broadcast_to(chk.passed.all(axis=0), n)
     leaves = [
         SessionLeaf(probs[i], Verdict.CLEAN, bits[i], records[i], encoding[i])
         for i in np.flatnonzero(clean).tolist()
@@ -567,9 +553,8 @@ def monte_carlo(
     for start in range(0, trials, MC_CHUNK):
         rng = qcore.TrialStreams(seed, start, min(start + MC_CHUNK, trials))
         *_, chk = _session_round(cfg, strategy, {1}, rng)
-        (ann,) = chk.announcements
         for pred in DetectionPredicate:
-            passed = check_passes(pred, ann.op, chk.bob_outcomes[1], ann.alice_outcome)
+            passed = check_passes(pred, chk.op, chk.bob, chk.alice)
             failures[pred] += len(rng) - int(np.count_nonzero(passed))
     return MonteCarloResult(
         strategy=strategy, trials=trials, seed=seed, failures=failures

@@ -274,6 +274,8 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _merged(args, parser)
     if cfg["mode"] not in MODES:
         parser.error(f"--mode must be one of {', '.join(MODES)}")
+    if cfg["format"] == "csv" and cfg["mode"] in ("leakage", "identities"):
+        parser.error(f"--mode {cfg['mode']} writes JSON reports only, not --format csv")
     try:
         if cfg["mode"] == "identities":
             return _run_identities(cfg)
@@ -288,10 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except analysis.EnumerationBudgetError as exc:
-        print(
-            f"error: {exc}; raise {analysis.NODE_BUDGET_ENV} or sample with --trials",
-            file=sys.stderr,
-        )
+        print(f"error: {exc}; raise {analysis.NODE_BUDGET_ENV}", file=sys.stderr)
         return 2
 
 

@@ -15,16 +15,19 @@ product-state factors that merge only when an operation spans them, so a
 group's state stays four qubits plus whatever Eve adds, and sessions of
 any length stay inside the per-factor qubit cap.
 
-The phase calls run a batch of rows at once: the groups of one session,
-or the independent trials of ``analysis.monte_carlo``.  Factors then hold
-batched states, the RNG is a ``qcore.Uniforms`` or ``qcore.TrialStreams``
-that gives every row its own uniforms, and drawn ops and Bell outcomes
-are int arrays indexing ``ENCODING_OPS`` and ``BELL_KINDS``.
+The phases run the groups they are given on a batch of rows at once: the
+groups of one session, or the independent trials of
+``analysis.monte_carlo``.  Factors then hold batched states, and the
+outcome source (a ``qcore.Uniforms``, a ``qcore.TrialStreams`` or the
+exact routes' replay script) gives one outcome per row.  Each phase
+returns the table of records a transcript keeps, ``CheckingRecords`` or
+``EncodingRecords``: the (groups,) group indices beside (groups, rows)
+columns of ints indexing ``ENCODING_OPS`` and ``BELL_KINDS``.
 
-The session's record, ``SessionTranscript``, keeps those arrays as they
-come: a group table and one table of records per role, each a set of
-columns.  It decodes, writes and reads the JSON transcript (README,
-Library use) a column at a time, without building one object per group.
+The session's record, ``SessionTranscript``, keeps those tables with one
+record per group, beside a group table.  It decodes, writes and reads
+the JSON transcript (README, Library use) a column at a time, without
+building one object per group.
 """
 
 from __future__ import annotations
@@ -149,19 +152,6 @@ class Group:
 
 
 @dataclass(frozen=True)
-class CheckingAnnouncement:
-    group_index: int
-    op: EncodingOp
-    alice_outcome: BellKind
-
-
-@dataclass(frozen=True)
-class EncodingAnnouncement:
-    group_index: int
-    alice_outcome: BellKind
-
-
-@dataclass(frozen=True)
 class SessionConfig:
     n_groups: int
     n_checking: int
@@ -260,7 +250,7 @@ class Register:
         other = self.clone()
         for key, sv in self._factors.items():
             if sv.batch is not None:
-                other._factors[key] = StateVector(sv.qubits, sv.amps[rows])
+                other._factors[key] = qcore._trusted(sv.qubits, sv.amps[rows])
         return other
 
     def _key_of(self, q: int) -> int:
@@ -386,57 +376,34 @@ def _checking_mask(n_groups: int, n_checking: int, rng: np.random.Generator) -> 
     return mask
 
 
-@dataclass
-class CheckingResult:
-    """What the checking phase announced and measured; in a batched run
-    ops, outcomes and ``passed`` hold one entry per trial."""
-
-    announcements: list[CheckingAnnouncement]
-    bob_outcomes: dict[int, BellKind]
-    passed: dict[int, bool]
-
-    @property
-    def clean(self) -> bool | np.ndarray:
-        """Whether every checking group passed, per trial for a batch."""
-        return np.logical_and.reduce(list(self.passed.values()))
-
-    @property
-    def verdict(self) -> Verdict:
-        return Verdict.CLEAN if self.clean else Verdict.EVE_DETECTED
-
-
-@dataclass
-class EncodingResult:
-    announcements: list[EncodingAnnouncement]
-    bob_outcomes: dict[int, BellKind]
-
-
 def run_checking(
     register: Register,
     groups: Sequence[Group],
-    rng: np.random.Generator,
+    rng: qcore.TrialStreams | qcore.Uniforms,
     *,
     policy: Mapping[EncodingOp, float] = UNIFORM_POLICY,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
     predicate: DetectionPredicate = DetectionPredicate.ANNOUNCED_OP,
-) -> CheckingResult:
-    """Checking phase: Alice codes, measures and announces every checking
-    group in order; Bob then measures his counterparts and compares."""
-    checking = [g for g in groups if g.role is GroupRole.CHECKING]
-    announcements = []
-    for g in checking:
-        op = draw_op(policy, rng)
-        matrix = op.matrix if isinstance(op, EncodingOp) else OP_MATRICES[op]
-        register.apply_single(g.travel_photon(encode_target), matrix)
-        outcome = register.measure_bell(*g.alice_qubits, rng)
-        announcements.append(CheckingAnnouncement(g.index, op, outcome))
-    bob_outcomes: dict[int, BellKind] = {}
-    passed: dict[int, bool] = {}
-    for g, ann in zip(checking, announcements):
-        bob = register.measure_bell(*g.bob_qubits, rng)
-        bob_outcomes[g.index] = bob
-        passed[g.index] = check_passes(predicate, ann.op, bob, ann.alice_outcome)
-    return CheckingResult(announcements, bob_outcomes, passed)
+) -> CheckingRecords:
+    """Checking phase on ``groups``: Alice codes, measures and announces
+    each group in order; Bob then measures his counterparts and compares.
+
+    ``rng`` gives one outcome per batch row, so the records' ``group`` is
+    (n,) for the n groups given and every other column is (n, rows).
+    """
+    ops, alice = [], []
+    for g in groups:
+        ops.append(draw_op(policy, rng))
+        register.apply_single(g.travel_photon(encode_target), OP_MATRICES[ops[-1]])
+        alice.append(register.measure_bell(*g.alice_qubits, rng))
+    bob = [register.measure_bell(*g.bob_qubits, rng) for g in groups]
+    op, alice, bob = (np.array(column, dtype=np.intp) for column in (ops, alice, bob))
+    passed = check_passes(predicate, op, bob, alice)
+    return CheckingRecords(_indices(groups), op, alice, bob, passed)
+
+
+def _indices(groups: Sequence[Group]) -> np.ndarray:
+    return np.array([g.index for g in groups], dtype=np.intp)
 
 
 # The index into ENCODING_OPS of each two-bit word.
@@ -447,47 +414,47 @@ def run_encoding(
     register: Register,
     groups: Sequence[Group],
     message_bits: str | Sequence[str],
-    rng: np.random.Generator,
+    rng: qcore.TrialStreams | qcore.Uniforms,
     *,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
-) -> EncodingResult:
-    """Encoding phase: two message bits per group via the coding ops, then
-    Alice's announcements followed by Bob's measurements.  A batch takes
+) -> EncodingRecords:
+    """Encoding phase on ``groups``: two message bits per group via the
+    coding ops, then Alice's announcements followed by Bob's measurements,
+    as (n,) group indices and (n, rows) outcome columns.  A batch takes
     either one message for every row or a sequence of one per row."""
-    encoding = [g for g in groups if g.role is GroupRole.ENCODING]
     single = isinstance(message_bits, str)
     messages = [message_bits] if single else message_bits
     for bits in messages:
-        if len(bits) != 2 * len(encoding):
-            raise ValueError(f"{len(bits)} bits do not fill {len(encoding)} encoding groups")
+        if len(bits) != 2 * len(groups):
+            raise ValueError(f"{len(bits)} bits do not fill {len(groups)} encoding groups")
     words = [bits[i : i + 2] for bits in messages for i in range(0, len(bits), 2)]
     try:
         ops = np.array([_WORD_OPS[w] for w in words], dtype=np.intp)
     except KeyError as exc:
         raise ValueError(f"no coding op for word {exc.args[0]!r}") from None
-    ops = ops.reshape(len(messages), len(encoding))
-    announcements = []
-    for i, g in enumerate(encoding):
+    ops = ops.reshape(len(messages), len(groups))
+    alice = []
+    for i, g in enumerate(groups):
         matrix = OP_MATRICES[ops[0, i] if single else ops[:, i]]
         register.apply_single(g.travel_photon(encode_target), matrix)
-        outcome = register.measure_bell(*g.alice_qubits, rng)
-        announcements.append(EncodingAnnouncement(g.index, outcome))
-    bob_outcomes: dict[int, BellKind] = {}
-    for g in encoding:
-        bob_outcomes[g.index] = register.measure_bell(*g.bob_qubits, rng)
-    return EncodingResult(announcements, bob_outcomes)
+        alice.append(register.measure_bell(*g.alice_qubits, rng))
+    bob = [register.measure_bell(*g.bob_qubits, rng) for g in groups]
+    return EncodingRecords(_indices(groups), *(np.array(c, dtype=np.intp) for c in (alice, bob)))
 
 
-def decode_message(
-    announcements: Sequence[EncodingAnnouncement], bob_outcomes: Mapping[int, BellKind]
-) -> str:
-    """Concatenated codewords recovered from the paired outcomes."""
-    bits = []
-    for ann in sorted(announcements, key=lambda a: a.group_index):
-        if ann.group_index not in bob_outcomes:
-            raise ValueError(f"no receiver outcome for group {ann.group_index}")
-        bits.append(decode_op(bob_outcomes[ann.group_index], ann.alice_outcome).bits)
-    return "".join(bits)
+def decode_message(bob: np.ndarray, alice: np.ndarray) -> str | list[str]:
+    """The codewords Bob decodes from his and Alice's outcomes, aligned
+    columns indexing BELL_KINDS, concatenated in column order: a str for
+    (E,) columns, one str per row for (E, rows) columns."""
+    if np.shape(bob) != np.shape(alice):
+        raise ValueError(
+            f"receiver outcomes of shape {np.shape(bob)} do not pair with "
+            f"announced outcomes of shape {np.shape(alice)}"
+        )
+    words = _decode_words()[bob, alice]
+    if words.ndim == 1:
+        return "".join(words.tolist())
+    return list(map("".join, words.T.tolist()))
 
 
 # A group's role in a transcript's group table is a code indexing ROLES;
@@ -632,10 +599,6 @@ def _decode_words() -> np.ndarray:
     return table
 
 
-def _decode(bob: np.ndarray, alice: np.ndarray) -> str:
-    return "".join(_decode_words()[bob, alice].tolist())
-
-
 @dataclass(eq=False)
 class SessionTranscript:
     """Observable history of one session, held as columns (README,
@@ -666,7 +629,7 @@ class SessionTranscript:
         """Re-derive the message from announcements and Bob's outcomes,
         taking the encoding groups in index order."""
         order = np.argsort(self.encoding.group, kind="stable")
-        return _decode(self.encoding.bob[order], self.encoding.alice[order])
+        return decode_message(self.encoding.bob[order], self.encoding.alice[order])
 
     def to_json_dict(self) -> dict:
         return {
@@ -786,15 +749,15 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
         uniforms = np.column_stack([rng.random((len(checking), 2)), rng.random(len(checking))])
         chk = run_checking(
             register if len(checking) == cfg.n_groups else register.take(checking),
-            [replace(template, role=GroupRole.CHECKING)],
+            [template],
             qcore.Uniforms(uniforms),
             policy=cfg.checking_op_policy,
             encode_target=cfg.encode_target,
             predicate=cfg.predicate,
         )
-        (ann,) = chk.announcements
+        # The template group's one record per row is a record per group.
         checked = CheckingRecords(
-            groups.index[checking], ann.op, ann.alice_outcome, chk.bob_outcomes[1], chk.passed[1]
+            groups.index[checking], chk.op[0], chk.alice[0], chk.bob[0], chk.passed[0]
         )
     verdict = Verdict.CLEAN if checked.passed.all() else Verdict.EVE_DETECTED
 
@@ -804,14 +767,13 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
         # Alice's outcome per group, then Bob's outcome per group.
         enc = run_encoding(
             register if len(encoding) == cfg.n_groups else register.take(encoding),
-            [replace(template, role=GroupRole.ENCODING)],
+            [template],
             [bits[i : i + 2] for i in range(0, len(bits), 2)],
             qcore.Uniforms(rng.random((2, len(encoding))).T),
             encode_target=cfg.encode_target,
         )
-        (ann,) = enc.announcements
-        encoded = EncodingRecords(groups.index[encoding], ann.alice_outcome, enc.bob_outcomes[1])
-        decoded = _decode(encoded.bob, encoded.alice)
+        encoded = EncodingRecords(groups.index[encoding], enc.alice[0], enc.bob[0])
+        decoded = decode_message(encoded.bob, encoded.alice)
     return SessionTranscript(groups, checked, encoded, verdict, decoded)
 
 

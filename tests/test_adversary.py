@@ -13,13 +13,7 @@ from qsdc_swap.adversary import (
     finalize_attack,
 )
 from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp, apply_encoding, is_correlated
-from qsdc_swap.protocol import (
-    CheckingAnnouncement,
-    EncodingAnnouncement,
-    Group,
-    Register,
-    build_groups,
-)
+from qsdc_swap.protocol import Group, Register, build_groups
 from qsdc_swap.qcore import (
     BELL_KINDS,
     BellKind,
@@ -223,9 +217,7 @@ def test_attack_determinism():
 def test_eve_guess_inverts_measure_resend():
     memory = EveMemory(strategy=AttackStrategy.INTERCEPT_MEASURE_RESEND)
     memory.travel_outcomes[2] = KIND["phi+"]
-    guesses = eve_guess_bits(
-        memory, [], [EncodingAnnouncement(2, KIND["phi-"])]
-    )
+    guesses = eve_guess_bits(memory, [2], [KIND["phi-"]])
     assert guesses == {2: EncodingOp.U1}
 
 
@@ -233,11 +225,7 @@ def test_eve_guess_abstains_without_records():
     for strategy in (AttackStrategy.NONE, AttackStrategy.ANCILLA_CORRECTIVE):
         memory = EveMemory(strategy=strategy)
         memory.ancilla_outcomes[1] = KIND["psi-"]
-        guesses = eve_guess_bits(
-            memory,
-            [CheckingAnnouncement(2, EncodingOp.U0, KIND["psi+"])],
-            [EncodingAnnouncement(1, KIND["phi-"])],
-        )
+        guesses = eve_guess_bits(memory, [1], [KIND["phi-"]])
         assert guesses == {1: None}
 
 
@@ -253,7 +241,7 @@ def test_finalize_replace_after_enables_exact_guess():
         register.apply_single(groups[0].alice_qubits[1], op.matrix)
         alice = register.measure_bell(*groups[0].alice_qubits, rng)
         finalize_attack(AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, memory, rng)
-        guesses = eve_guess_bits(memory, [], [EncodingAnnouncement(1, alice)])
+        guesses = eve_guess_bits(memory, [1], [alice])
         assert guesses == {1: op}
 
 

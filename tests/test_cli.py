@@ -149,11 +149,17 @@ def test_detect_bad_node_budget_exits_2(monkeypatch, capsys):
 
 
 def test_detect_budget_overflow_exits_2(monkeypatch, capsys):
+    # detect and sweep enumerate whatever --trials says, so the advice
+    # names only the budget
     monkeypatch.setenv("QSDC_NODE_BUDGET", "10")
-    assert run_cli("--mode", "detect", "--strategy", "replace-before") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "QSDC_NODE_BUDGET" in err and "--trials" in err
+    for argv in (
+        ("--mode", "detect", "--strategy", "replace-before"),
+        ("--mode", "sweep", "--trials", "500", "--seed", "1"),
+    ):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "QSDC_NODE_BUDGET" in err and "--trials" not in err
 
 
 def test_leakage_mode(capsys, tmp_path):
@@ -163,6 +169,18 @@ def test_leakage_mode(capsys, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["eve_guess_accuracy"] == pytest.approx(1.0, abs=1e-12)
     assert doc["chance_level"] == 0.25
+
+
+@pytest.mark.parametrize(
+    "argv", [("--mode", "leakage", "--strategy", "measure-resend"), ("--mode", "identities")]
+)
+def test_json_only_modes_reject_csv_format(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--format", "csv", "--out", str(out))
+    assert err.value.code == 2
+    assert "--format csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_exact_only_csv(tmp_path):

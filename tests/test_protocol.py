@@ -16,7 +16,6 @@ from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp
 from qsdc_swap.protocol import (
     DetectionPredicate,
     EncodeTarget,
-    EncodingAnnouncement,
     Group,
     GroupRole,
     Register,
@@ -112,51 +111,55 @@ def test_partition_preserves_order_and_originals():
 def test_run_checking_honest_always_passes():
     for seed in range(12):
         register, groups = prepare_registers(cfg(3, 3))
-        groups = partition_groups(groups, 3, make_rng(seed))
-        result = run_checking(register, groups, make_rng(seed, 1))
-        assert result.verdict is Verdict.CLEAN
-        assert all(result.passed.values())
-        assert len(result.announcements) == 3
+        result = run_checking(register, groups, TrialStreams(seed, 1, 2))
+        assert result.passed.all()
+        assert result.group.tolist() == [1, 2, 3]
 
 
 def test_run_checking_identity_policy_outcomes_match():
     for seed in range(8):
         register, groups = prepare_registers(cfg(2, 2))
-        groups = partition_groups(groups, 2, make_rng(seed))
         result = run_checking(
-            register, groups, make_rng(seed, 1), policy=single_op_policy(EncodingOp.U0)
+            register, groups, TrialStreams(seed, 1, 2), policy=single_op_policy(EncodingOp.U0)
         )
-        for ann in result.announcements:
-            assert result.bob_outcomes[ann.group_index] is ann.alice_outcome
+        np.testing.assert_array_equal(result.bob, result.alice)
 
 
 def test_run_encoding_zero_word_keeps_kinds_equal():
     for seed in range(8):
         register, groups = prepare_registers(cfg(2, 0, bits="0000"))
-        groups = partition_groups(groups, 0, make_rng(seed))
-        enc = run_encoding(register, groups, "0000", make_rng(seed, 1))
-        for ann in enc.announcements:
-            assert enc.bob_outcomes[ann.group_index] is ann.alice_outcome
+        enc = run_encoding(register, groups, "0000", TrialStreams(seed, 1, 2))
+        np.testing.assert_array_equal(enc.bob, enc.alice)
 
 
 def test_run_encoding_length_mismatch():
     register, groups = prepare_registers(cfg(2, 0, bits="0000"))
-    groups = partition_groups(groups, 0, make_rng(0))
     with pytest.raises(ValueError):
-        run_encoding(register, groups, "00", make_rng(0, 1))
+        run_encoding(register, groups, "00", TrialStreams(0, 1, 2))
 
 
 def test_decode_message_examples():
-    anns = [EncodingAnnouncement(1, KIND["phi+"])]
-    assert decode_message(anns, {1: KIND["phi+"]}) == "00"
-    anns = [
-        EncodingAnnouncement(1, KIND["phi-"]),
-        EncodingAnnouncement(2, KIND["psi+"]),
-    ]
-    bob = {1: KIND["phi+"], 2: KIND["phi+"]}
-    assert decode_message(anns, bob) == "0110"
+    phi_plus, phi_minus, psi_plus = (BELL_KINDS.index(KIND[k]) for k in ("phi+", "phi-", "psi+"))
+    assert decode_message(np.array([phi_plus]), np.array([phi_plus])) == "00"
+    bob, alice = np.array([phi_plus, phi_plus]), np.array([phi_minus, psi_plus])
+    assert decode_message(bob, alice) == "0110"
     with pytest.raises(ValueError):
-        decode_message(anns, {1: KIND["phi+"]})
+        decode_message(bob[:1], alice)
+
+
+def test_phases_run_every_group_given_as_batched_columns():
+    register, groups = prepare_registers(cfg(3, 3))
+    chk = run_checking(register, groups, TrialStreams(7, 0, 5))
+    assert chk.op.shape == chk.alice.shape == chk.bob.shape == chk.passed.shape == (3, 5)
+    assert chk.group.tolist() == [1, 2, 3]
+    assert chk.passed.all()
+    register, groups = prepare_registers(cfg(2, 0, bits="0110"))
+    messages = ["0110", "1100", "0011", "1001", "0000"]
+    enc = run_encoding(register, groups, messages, TrialStreams(7, 0, 5))
+    assert enc.alice.shape == enc.bob.shape == (2, 5)
+    decoded = decode_message(enc.bob, enc.alice)
+    assert decoded == messages
+    assert decoded == [decode_message(enc.bob[:, r], enc.alice[:, r]) for r in range(5)]
 
 
 def test_honest_round_trip_all_two_group_messages():
