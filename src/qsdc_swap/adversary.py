@@ -51,31 +51,33 @@ CORRECTION_TRIGGER = frozenset({BellKind.PSI_MINUS, BellKind.PHI_MINUS})
 
 @dataclass
 class EveMemory:
-    """Eve's session-local records; never reads honest private outcomes."""
+    """Eve's session-local records, keyed by group index; never reads
+    honest private outcomes.  Each outcome is an int array indexing
+    BELL_KINDS, and each correction a bool array, one entry per batch row."""
 
     strategy: AttackStrategy
     applied: bool = False
-    travel_outcomes: dict[int, BellKind] = field(default_factory=dict)
-    cross_outcomes: dict[int, tuple[BellKind, BellKind]] = field(default_factory=dict)
-    ancilla_outcomes: dict[int, BellKind] = field(default_factory=dict)
+    travel_outcomes: dict[int, np.ndarray] = field(default_factory=dict)
+    cross_outcomes: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    ancilla_outcomes: dict[int, np.ndarray] = field(default_factory=dict)
     ancilla_qubits: dict[int, tuple[int, int]] = field(default_factory=dict)
     kept_replacement: dict[int, tuple[int, int]] = field(default_factory=dict)
     kept_originals: dict[int, tuple[int, int]] = field(default_factory=dict)
-    replacement_outcomes: dict[int, BellKind] = field(default_factory=dict)
-    corrections: dict[int, bool] = field(default_factory=dict)
+    replacement_outcomes: dict[int, np.ndarray] = field(default_factory=dict)
+    corrections: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def apply_attack(
     strategy: AttackStrategy,
     register: Register,
     groups: list[Group],
-    rng: np.random.Generator | qcore.TrialStreams,
+    rng: qcore.TrialStreams | qcore.Uniforms,
     memory: EveMemory,
 ) -> Register:
     """Interpose ``strategy`` on the travel channel, once per session.
 
-    With a batched register and a ``qcore.TrialStreams`` it acts on every
-    trial at once, and the records hold one outcome per trial.
+    It acts on every batch row at once; ``rng`` gives one outcome per row,
+    and the records hold them as row arrays.
     """
     if memory.applied:
         raise RuntimeError("attack already applied in this session")
@@ -130,31 +132,20 @@ def apply_attack(
     return register
 
 
-class _DrawCounter:
-    """Outcome source that counts its choices and takes the likeliest
-    outcome of each."""
-
-    def __init__(self):
-        self.draws = 0
-
-    def choose(self, probs) -> int:
-        self.draws += 1
-        return int(np.argmax(probs))
-
-
 @lru_cache(maxsize=None)
 def attack_footprint(strategy: AttackStrategy) -> tuple[int, int]:
     """Uniforms drawn and fresh qubit ids allocated per group by
     ``strategy``, counted by running its attack once on one group.
 
     Every strategy treats each group alike, so a session of G groups
-    draws G times as many, group after group.
+    draws G times as many, group after group.  The one-row source counts
+    the uniforms it hands out; which outcomes they pick does not matter.
     """
-    counter = _DrawCounter()
+    source = qcore.TrialStreams(0, 0, 1)
     register, groups = prepare_registers(SessionConfig(n_groups=1, n_checking=1))
-    apply_attack(strategy, register, groups, counter, EveMemory(strategy=strategy))
+    apply_attack(strategy, register, groups, source, EveMemory(strategy=strategy))
     # the group holds ids 1-4, so Eve's ids start at 5
-    return counter.draws, register.allocate(1)[0] - 5
+    return source._drawn, register.allocate(1)[0] - 5
 
 
 def finalize_attack(
@@ -162,7 +153,7 @@ def finalize_attack(
     register: Register,
     groups: list[Group],
     memory: EveMemory,
-    rng: np.random.Generator | qcore.TrialStreams,
+    rng: qcore.TrialStreams | qcore.Uniforms,
 ) -> None:
     """Eve's deferred measurements once the announcements are public."""
     if strategy is AttackStrategy.REPLACE_MEASURE_AFTER:
@@ -173,20 +164,19 @@ def finalize_attack(
 
 
 def eve_guess_bits(
-    memory: EveMemory, groups: Sequence[int], alice: Sequence[BellKind] | np.ndarray
-) -> dict[int, EncodingOp | np.ndarray | None]:
+    memory: EveMemory, groups: Sequence[int], alice: np.ndarray
+) -> dict[int, np.ndarray | None]:
     """Eve's inference of the op encoded in each of ``groups``, from Alice's
-    announced outcome there (``alice``, aligned with ``groups``), or None
-    to abstain.
+    announced outcomes there (``alice``, one row of outcomes per group), as
+    an int array indexing ENCODING_OPS with one guess per batch row, or
+    None to abstain.
 
     With a recorded Bell outcome that seeds the swapped correlation she can
     invert the announcement; without one she abstains.  The ancilla
     outcomes are not inverted: a lone ancilla kind does not determine the
     pre-coding travel kind, so those strategies abstain by contract.
-    Batched records and announcements give one guess per trial, as an int
-    array indexing ENCODING_OPS.
     """
-    guesses: dict[int, EncodingOp | np.ndarray | None] = {}
+    guesses: dict[int, np.ndarray | None] = {}
     for g, announced in zip(groups, alice):
         if (
             memory.strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND

@@ -758,7 +758,7 @@ def detection_report(
     if trials > 0 and seed is None:
         raise ValueError("sampling requires a seed")
     mc = monte_carlo(strategy, trials, seed) if trials > 0 else None
-    return _report_row(strategy, predicate, group_leaves(strategy), mc, seed)
+    return _report_row(strategy, predicate, group_leaves(strategy), mc, seed if mc else None)
 
 
 def leakage_report(strategy: AttackStrategy) -> dict:

@@ -18,6 +18,18 @@ from .protocol import DetectionPredicate, SessionConfig, SessionTranscript
 
 MODES = ("session", "detect", "leakage", "identities", "sweep")
 
+# The keys each mode reads besides ``mode``; any other key that is set,
+# from a flag or from --config, is rejected.
+MODE_KEYS = {
+    "session": {
+        "n_groups", "n_checking", "bits", "text", "strategy", "predicate", "seed", "out", "format"
+    },
+    "detect": {"strategy", "predicate", "trials", "seed", "out", "format"},
+    "leakage": {"strategy", "out"},
+    "identities": {"out"},
+    "sweep": {"trials", "seed", "out", "format"},
+}
+
 
 def text_to_bits(text: str) -> str:
     """UTF-8 bytes of ``text`` as a 0/1 string."""
@@ -274,8 +286,15 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _merged(args, parser)
     if cfg["mode"] not in MODES:
         parser.error(f"--mode must be one of {', '.join(MODES)}")
-    if cfg["format"] == "csv" and cfg["mode"] in ("leakage", "identities"):
-        parser.error(f"--mode {cfg['mode']} writes JSON reports only, not --format csv")
+    unread = [
+        f"--{key.replace('_', '-')} {value}"
+        for key, value in cfg.items()
+        if value is not None and key != "mode" and key not in MODE_KEYS[cfg["mode"]]
+    ]
+    if unread:
+        parser.error(f"--mode {cfg['mode']} does not read {', '.join(unread)}")
+    if cfg["format"] is not None and not cfg["out"]:
+        parser.error("--format needs --out")
     try:
         if cfg["mode"] == "identities":
             return _run_identities(cfg)

@@ -118,18 +118,14 @@ def check_policy(policy: Mapping[EncodingOp, float]) -> None:
 
 
 def draw_op(
-    policy: Mapping[EncodingOp, float], rng: np.random.Generator | qcore.TrialStreams
-) -> EncodingOp | np.ndarray:
-    """The op drawn from ``policy`` through the outcome hook ``qcore.choose``.
-
-    An outcome source that draws per trial gives an int array indexing
-    ENCODING_OPS, one op per trial.
-    """
+    policy: Mapping[EncodingOp, float], rng: qcore.TrialStreams | qcore.Uniforms
+) -> np.ndarray:
+    """The op drawn from ``policy`` through the outcome hook ``qcore.choose``,
+    as an int array indexing ENCODING_OPS, one op per batch row."""
     weights = [policy.get(op, 0.0) for op in ENCODING_OPS]
     if max(weights) <= 0.0:
         raise ValueError("op policy has no positive weight")
-    chosen = qcore.choose(rng, weights)
-    return chosen if isinstance(chosen, np.ndarray) else ENCODING_OPS[chosen]
+    return qcore.choose(rng, weights)
 
 
 @dataclass
@@ -275,15 +271,11 @@ class Register:
         """The (merged) factor holding the given qubits."""
         return self._factors[self._merge(qubits)]
 
-    def apply_single(
-        self, q: int, matrix: np.ndarray, where: bool | np.ndarray = True
-    ) -> None:
-        """Apply ``matrix`` to ``q`` if ``where`` holds; a bool array
-        applies it only in the trials of a batch where it is True."""
-        if isinstance(where, np.ndarray):
+    def apply_single(self, q: int, matrix: np.ndarray, where: np.ndarray | None = None) -> None:
+        """Apply ``matrix`` to ``q``; a bool array ``where`` applies it only
+        in the batch rows where it is True."""
+        if where is not None:
             matrix = np.where(where[:, None, None], matrix, qcore.U0)
-        elif not where:
-            return
         self.touched.add(q)
         key = self._key_of(q)
         self._factors[key] = qcore.apply_single(self._factors[key], q, matrix)
@@ -302,9 +294,10 @@ class Register:
             del self._factors[key]
 
     def measure_bell(
-        self, a: int, b: int, rng: np.random.Generator | qcore.TrialStreams
-    ) -> BellKind | np.ndarray:
-        """Sample a Bell measurement of ``(a, b)`` and collapse in place."""
+        self, a: int, b: int, rng: qcore.TrialStreams | qcore.Uniforms
+    ) -> np.ndarray:
+        """Sample a Bell measurement of ``(a, b)``, one outcome per batch row
+        as an int array indexing BELL_KINDS, and collapse in place."""
         self.touched |= {a, b}
         key = self._merge((a, b))
         kind, collapsed = qcore.sample_bell(self._factors[key], a, b, rng)

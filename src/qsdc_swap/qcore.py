@@ -22,13 +22,14 @@ inside the register cap.
 A state may also be a batch: amplitudes of shape ``(B, 2**n)``, one
 independent state per Monte Carlo trial, or per photon group of a session,
 over the same qubit tuple.  The operations below accept single and batched
-states alike; a batched Bell measurement returns one outcome per row as an
-int array indexing ``BELL_KINDS``.  ``TrialStreams`` supplies the per-trial
-uniforms and ``Uniforms`` a session's pre-drawn ones.
+states alike.
 
-Every random choice goes through one outcome hook, ``choose``: the
-sampling sources draw uniforms, and ``analysis`` replays the same code
-under scripted outcomes to enumerate every history with exact weights.
+Every random choice goes through one outcome hook, ``choose``, and gives
+one outcome per batch row, as an int array: a Bell measurement's outcomes
+index ``BELL_KINDS``.  The sources behind the hook are row sources:
+``TrialStreams`` draws the per-trial uniforms, ``Uniforms`` hands out a
+session's pre-drawn ones, and ``analysis`` replays the same code under
+scripted outcomes to enumerate every history with exact weights.
 """
 
 from __future__ import annotations
@@ -306,46 +307,31 @@ def bell_branches(state: StateVector, a: int, b: int) -> list[Branch]:
     return branches
 
 
-def choose(rng, probs) -> int | np.ndarray:
-    """The outcome hook: index of the outcome that happens, out of outcomes
-    weighted ``probs``.
+def choose(rng, probs) -> np.ndarray:
+    """The outcome hook: the index of the outcome that happens in each batch
+    row, out of outcomes weighted ``probs``, as an int array.
 
-    A ``np.random.Generator`` draws one uniform and takes the first
-    non-negligible outcome whose cumulative weight exceeds it, or the most
-    likely one if rounding leaves the uniform past the end.  A source with
-    its own ``choose(probs)`` returns an int array, one outcome per row:
-    ``TrialStreams`` and ``Uniforms`` apply the same rule to each row's own
-    uniform, and ``analysis`` replays scripted outcomes.  (Asking for the
-    method rather than testing for ``np.random.Generator`` keeps batched
-    runs from importing ``numpy.random``, which costs about 5 MB.)
+    ``probs`` holds one weight per outcome, or one such row per batch row.
+    ``TrialStreams`` and ``Uniforms`` take, in each row, the first
+    non-negligible outcome whose cumulative weight exceeds that row's own
+    uniform, or the likeliest one if rounding leaves the uniform past the
+    end; ``analysis`` replays scripted outcomes.
     """
-    if hasattr(rng, "choose"):
-        return rng.choose(probs)
-    r = rng.random()
-    acc = 0.0
-    for i, p in enumerate(probs):
-        acc += float(p)
-        if r < acc and p >= MIN_BRANCH_PROB:
-            return i
-    # float underflow at the top of the cumulative sum
-    return max(range(len(probs)), key=probs.__getitem__)
+    return rng.choose(probs)
 
 
 def sample_bell(
-    state: StateVector, a: int, b: int, rng: np.random.Generator | TrialStreams
-) -> tuple[BellKind | np.ndarray, StateVector]:
+    state: StateVector, a: int, b: int, rng: TrialStreams | Uniforms
+) -> tuple[np.ndarray, StateVector]:
     """Measure ``(a, b)`` in the Bell basis, the outcome drawn by ``choose``.
 
-    With a batched state or an outcome array from the hook the outcome is
-    an int array indexing BELL_KINDS, one per trial, and each trial's rest
-    collapses onto its own outcome.
+    The outcome is an int array indexing BELL_KINDS, one per batch row, and
+    each row's rest collapses onto its own outcome; a single state gives
+    a batch of collapsed states, one per row of the source.
     """
     rest, projected, probs = _pair_projections(state, a, b)
     chosen = choose(rng, probs)
-    if not isinstance(chosen, np.ndarray):
-        p = float(probs[chosen])
-        return BELL_KINDS[chosen], _trusted(rest, projected[chosen] / math.sqrt(p))
-    if probs.ndim == 1:  # one state, an outcome per trial
+    if probs.ndim == 1:  # one state, an outcome per row
         vecs, p = projected[chosen], probs[chosen]
     else:
         rows = np.arange(probs.shape[0])
@@ -353,10 +339,8 @@ def sample_bell(
     return chosen, _trusted(rest, vecs / np.sqrt(p)[:, None])
 
 
-def kind_in(kind: BellKind | np.ndarray, kinds) -> bool | np.ndarray:
-    """Whether an outcome, or each outcome of a batch, is one of ``kinds``."""
-    if isinstance(kind, BellKind):
-        return kind in kinds
+def kind_in(kind: np.ndarray, kinds) -> np.ndarray:
+    """Whether each outcome, an int indexing BELL_KINDS, is one of ``kinds``."""
     return np.isin(kind, [BELL_KINDS.index(k) for k in kinds])
 
 
@@ -454,7 +438,7 @@ def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
 
 def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:
     """``choose``'s rule for every row at once, row i deciding by
-    ``uniforms[i]``; ``cumsum`` adds in the same order as the scalar loop."""
+    ``uniforms[i]``."""
     probs = np.asarray(probs)
     hit = (uniforms[:, None] < np.cumsum(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1), probs.argmax(axis=-1))

@@ -90,6 +90,30 @@ def bell_product(pairs, order):
     return reorder(kron_all(*vecs), src, order)
 
 
+# Outcomes less likely than this are never drawn (qcore.MIN_BRANCH_PROB).
+MIN_BRANCH_PROB = 1e-12
+
+
+def scalar_choice(r, probs):
+    """The outcome one uniform ``r`` picks out of outcomes weighted
+    ``probs``, one at a time: the first outcome at or above
+    MIN_BRANCH_PROB whose cumulative weight exceeds ``r``, else the
+    likeliest (rounding can leave ``r`` past the end of the sum)."""
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += float(p)
+        if r < acc and p >= MIN_BRANCH_PROB:
+            return i
+    return max(range(len(probs)), key=lambda i: probs[i])
+
+
+def sampled_branch(r, branches):
+    """The branch a single state's Bell measurement takes under uniform
+    ``r``, out of ``branches`` listed in kind order with a ``prob`` each
+    (as ``qcore.bell_branches`` gives them)."""
+    return branches[scalar_choice(r, [b.prob for b in branches])]
+
+
 # Verbatim printed correlation table: (receiver 13-kind, sender 24-kind).
 PRINTED_CORRELATION = {
     "u0": {("phi+", "phi+"), ("psi-", "psi-"), ("psi+", "psi+"), ("phi-", "phi-")},

@@ -17,18 +17,35 @@ from qsdc_swap.protocol import Group, Register, build_groups
 from qsdc_swap.qcore import (
     BELL_KINDS,
     BellKind,
+    StateVector,
+    TrialStreams,
     apply_cnot,
     apply_single,
     bell_branches,
     classify_bell,
     compose,
     make_bell,
-    make_rng,
     overlap,
     single_qubit,
 )
 
 KIND = {k.value: k for k in BELL_KINDS}
+
+
+def one_row(seed):
+    """The draws of make_rng(seed), as a one-row outcome source."""
+    return TrialStreams(seed, 0, 1)
+
+
+def only_kind(outcomes):
+    """The Bell kind of a one-row outcome array."""
+    (index,) = outcomes
+    return BELL_KINDS[index]
+
+
+def only_state(state):
+    """The single state of a one-row batch."""
+    return StateVector(state.qubits, state.amps[0])
 
 
 def fresh_register():
@@ -48,7 +65,7 @@ def test_none_attack_is_identity():
     register, groups = fresh_register()
     before = register.compose_all()
     memory = EveMemory(strategy=AttackStrategy.NONE)
-    apply_attack(AttackStrategy.NONE, register, groups, make_rng(0), memory)
+    apply_attack(AttackStrategy.NONE, register, groups, one_row(0), memory)
     assert groups[0].alice_qubits == (2, 4)
     assert abs(overlap(before, register.compose_all()) - 1.0) < 1e-12
 
@@ -56,9 +73,9 @@ def test_none_attack_is_identity():
 def test_attack_cannot_run_twice():
     register, groups = fresh_register()
     memory = EveMemory(strategy=AttackStrategy.NONE)
-    apply_attack(AttackStrategy.NONE, register, groups, make_rng(0), memory)
+    apply_attack(AttackStrategy.NONE, register, groups, one_row(0), memory)
     with pytest.raises(RuntimeError):
-        apply_attack(AttackStrategy.NONE, register, groups, make_rng(0), memory)
+        apply_attack(AttackStrategy.NONE, register, groups, one_row(0), memory)
 
 
 def test_measure_resend_pins_receiver_pair():
@@ -69,12 +86,13 @@ def test_measure_resend_pins_receiver_pair():
         register, groups = fresh_register()
         memory = EveMemory(strategy=AttackStrategy.INTERCEPT_MEASURE_RESEND)
         apply_attack(
-            AttackStrategy.INTERCEPT_MEASURE_RESEND, register, groups, make_rng(seed), memory
+            AttackStrategy.INTERCEPT_MEASURE_RESEND, register, groups, one_row(seed), memory
         )
-        eve_kind = memory.travel_outcomes[1]
+        eve_kind = only_kind(memory.travel_outcomes[1])
         seen.add(eve_kind)
-        assert classify_bell(register.factor_state(1, 3)) is eve_kind
-        assert classify_bell(register.factor_state(*groups[0].alice_qubits)) is eve_kind
+        assert classify_bell(only_state(register.factor_state(1, 3))) is eve_kind
+        forwarded = register.factor_state(*groups[0].alice_qubits)
+        assert classify_bell(only_state(forwarded)) is eve_kind
         assert groups[0].alice_qubits == (5, 6)
     assert seen == set(BELL_KINDS)
 
@@ -83,7 +101,7 @@ def test_replace_forwards_eve_halves():
     register, groups = fresh_register()
     memory = EveMemory(strategy=AttackStrategy.REPLACE_MEASURE_AFTER)
     apply_attack(
-        AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, make_rng(1), memory
+        AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, one_row(1), memory
     )
     assert groups[0].alice_qubits == (6, 8)
     assert memory.kept_replacement[1] == (5, 7)
@@ -97,18 +115,18 @@ def test_replace_measure_before_records_cross_outcomes():
     register, groups = fresh_register()
     memory = EveMemory(strategy=AttackStrategy.REPLACE_MEASURE_BEFORE)
     apply_attack(
-        AttackStrategy.REPLACE_MEASURE_BEFORE, register, groups, make_rng(4), memory
+        AttackStrategy.REPLACE_MEASURE_BEFORE, register, groups, one_row(4), memory
     )
-    e1, e2 = memory.cross_outcomes[1]
+    e1, e2 = map(only_kind, memory.cross_outcomes[1])
     # each cross measurement swaps entanglement onto the forwarded photon
-    assert classify_bell(register.factor_state(1, 6)) is e1
-    assert classify_bell(register.factor_state(3, 8)) is e2
+    assert classify_bell(only_state(register.factor_state(1, 6))) is e1
+    assert classify_bell(only_state(register.factor_state(3, 8))) is e2
 
 
 def test_ancilla_attack_builds_printed_expansion():
     register, groups = fresh_register()
     memory = EveMemory(strategy=AttackStrategy.ANCILLA_PASSIVE)
-    apply_attack(AttackStrategy.ANCILLA_PASSIVE, register, groups, make_rng(0), memory)
+    apply_attack(AttackStrategy.ANCILLA_PASSIVE, register, groups, one_row(0), memory)
     assert memory.ancilla_qubits[1] == (5, 6)
     state = register.factor_state(1, 2, 3, 4, 5, 6)
     amp = np.sqrt(2.0) / 4.0
@@ -130,14 +148,15 @@ def test_ancilla_corrective_records_and_corrects():
         register, groups = fresh_register()
         memory = EveMemory(strategy=AttackStrategy.ANCILLA_CORRECTIVE)
         apply_attack(
-            AttackStrategy.ANCILLA_CORRECTIVE, register, groups, make_rng(seed), memory
+            AttackStrategy.ANCILLA_CORRECTIVE, register, groups, one_row(seed), memory
         )
-        kind = memory.ancilla_outcomes[1]
-        assert memory.corrections[1] == (kind in CORRECTION_TRIGGER)
-        triggered += memory.corrections[1]
+        kind = only_kind(memory.ancilla_outcomes[1])
+        (corrected,) = memory.corrections[1]
+        assert corrected == (kind in CORRECTION_TRIGGER)
+        triggered += corrected
         # after any correction the four honest qubits carry the identity
         # correlation again: receiver and sender kinds agree on every branch
-        state = register.factor_state(1, 2, 3, 4)
+        state = only_state(register.factor_state(1, 2, 3, 4))
         for branch in bell_branches(state, 2, 4):
             assert classify_bell(branch.state) is branch.kind
     assert 0 < triggered < 24
@@ -191,7 +210,7 @@ def test_attack_never_touches_receiver_photons(strategy):
     bob_ids = {q for g in groups for q in g.bob_qubits}
     register.touched.clear()
     memory = EveMemory(strategy=strategy)
-    apply_attack(strategy, register, groups, make_rng(8), memory)
+    apply_attack(strategy, register, groups, one_row(8), memory)
     assert not (register.touched & bob_ids)
 
 
@@ -207,25 +226,26 @@ def test_attack_determinism():
         register, groups = prepare_two_group_register()
         memory = EveMemory(strategy=AttackStrategy.REPLACE_MEASURE_BEFORE)
         apply_attack(
-            AttackStrategy.REPLACE_MEASURE_BEFORE, register, groups, make_rng(seed), memory
+            AttackStrategy.REPLACE_MEASURE_BEFORE, register, groups, one_row(seed), memory
         )
-        return memory.cross_outcomes
+        return {g: [e.tolist() for e in pair] for g, pair in memory.cross_outcomes.items()}
 
     assert run(33) == run(33)
 
 
 def test_eve_guess_inverts_measure_resend():
     memory = EveMemory(strategy=AttackStrategy.INTERCEPT_MEASURE_RESEND)
-    memory.travel_outcomes[2] = KIND["phi+"]
-    guesses = eve_guess_bits(memory, [2], [KIND["phi-"]])
-    assert guesses == {2: EncodingOp.U1}
+    memory.travel_outcomes[2] = np.array([BELL_KINDS.index(KIND["phi+"])])
+    alice = np.array([[BELL_KINDS.index(KIND["phi-"])]])
+    (guess,) = eve_guess_bits(memory, [2], alice)[2]
+    assert ENCODING_OPS[guess] is EncodingOp.U1
 
 
 def test_eve_guess_abstains_without_records():
     for strategy in (AttackStrategy.NONE, AttackStrategy.ANCILLA_CORRECTIVE):
         memory = EveMemory(strategy=strategy)
-        memory.ancilla_outcomes[1] = KIND["psi-"]
-        guesses = eve_guess_bits(memory, [1], [KIND["phi-"]])
+        memory.ancilla_outcomes[1] = np.array([BELL_KINDS.index(KIND["psi-"])])
+        guesses = eve_guess_bits(memory, [1], np.array([[BELL_KINDS.index(KIND["phi-"])]]))
         assert guesses == {1: None}
 
 
@@ -234,15 +254,15 @@ def test_finalize_replace_after_enables_exact_guess():
     # announcement recovers the encoded op every time
     for seed in range(12):
         register, groups = fresh_register()
-        rng = make_rng(seed)
+        rng = one_row(seed)
         memory = EveMemory(strategy=AttackStrategy.REPLACE_MEASURE_AFTER)
         apply_attack(AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, rng, memory)
         op = ENCODING_OPS[seed % 4]
         register.apply_single(groups[0].alice_qubits[1], op.matrix)
         alice = register.measure_bell(*groups[0].alice_qubits, rng)
         finalize_attack(AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, memory, rng)
-        guesses = eve_guess_bits(memory, [1], [alice])
-        assert guesses == {1: op}
+        (guess,) = eve_guess_bits(memory, [1], np.array([alice]))[1]
+        assert ENCODING_OPS[guess] is op
 
 
 def test_attack_footprint_counts_draws_and_fresh_ids_per_group():

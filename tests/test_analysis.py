@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -276,6 +277,32 @@ def test_sampled_sessions_match_enumerated_leaves(strategy):
                 counts[possible], exact[possible] * counts.sum(), lambda_="log-likelihood"
             )
             assert test.pvalue > 1e-3, (checked, counts, exact)
+
+
+@pytest.mark.parametrize("predicate", PREDICATES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_failed_checks_at_33_groups_are_binomial(strategy, predicate):
+    # Seeded 33-group sessions with 4 checking groups: if the sampler keeps
+    # the groups independent, the number of failed checks per session is
+    # Binomial(4, p) with p the exact single-group detection.
+    n_checking, sessions = 4, 300
+    bits = ("0110" * 15)[: 2 * (33 - n_checking)]
+    counts = np.zeros(n_checking + 1)
+    for seed in range(sessions):
+        cfg = SessionConfig(33, n_checking, bits, predicate=predicate, seed=seed)
+        counts[np.count_nonzero(~run_session(cfg, strategy).checking.passed)] += 1
+    p = exact_detection(strategy, predicate)
+    binomial = np.array(
+        [math.comb(n_checking, k) * p**k * (1 - p) ** (n_checking - k)
+         for k in range(n_checking + 1)]
+    )
+    possible = binomial > 1e-12
+    assert not counts[~possible].any(), (counts, p)
+    if possible.sum() > 1:
+        test = power_divergence(
+            counts[possible], binomial[possible] * sessions, lambda_="log-likelihood"
+        )
+        assert test.pvalue > 1e-3, (counts, p)
 
 
 def test_node_budget_enforced(monkeypatch):

@@ -124,6 +124,14 @@ def test_detect_mode_report(capsys, tmp_path):
     assert doc["p_mc"] is None
 
 
+def test_detect_without_trials_records_no_seed(tmp_path):
+    out = tmp_path / "detect.json"
+    assert run_cli("--mode", "detect", "--strategy", "none", "--seed", "5", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["trials"] == 0
+    assert doc["seed"] is None
+
+
 def test_detect_requires_strategy():
     with pytest.raises(SystemExit) as err:
         run_cli("--mode", "detect")
@@ -181,6 +189,33 @@ def test_json_only_modes_reject_csv_format(argv, tmp_path, capsys):
     assert err.value.code == 2
     assert "--format csv" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,config,named",
+    [
+        (("--mode", "identities", "--strategy", "bogus"), None, "--strategy bogus"),
+        (("--mode", "session", "--seed", "1", "--bits", "01", "--trials", "5"), None,
+         "--trials 5"),
+        (("--mode", "leakage", "--strategy", "none", "--predicate", "strict-u0"), None,
+         "--predicate strict-u0"),
+        (("--mode", "detect", "--strategy", "none", "--n-groups", "3"), None, "--n-groups 3"),
+        (("--mode", "sweep", "--trials", "0", "--text", "hi"), None, "--text hi"),
+        ((), {"mode": "leakage", "strategy": "none", "seed": 3}, "--seed 3"),
+        (("--mode", "sweep", "--trials", "0", "--format", "csv"), None, "--format needs --out"),
+        (("--mode", "session", "--seed", "1", "--bits", "01", "--format", "csv"), None,
+         "--format needs --out"),
+    ],
+)
+def test_keys_the_mode_does_not_read_exit_2(argv, config, named, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ("--config", str(path))
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_sweep_exact_only_csv(tmp_path):

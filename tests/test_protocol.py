@@ -361,7 +361,7 @@ def test_register_enumerate_bell_leaves_parent_usable():
     assert abs(sum(p for p, _, _ in branches) - 1.0) < 1e-9
     # the parent still holds all four qubits and can be measured itself
     assert register.qubits == frozenset({1, 2, 3, 4})
-    register.measure_bell(1, 3, make_rng(0))
+    register.measure_bell(1, 3, TrialStreams(0, 0, 1))
     for _, clone, kind in branches:
         assert clone.qubits == frozenset({2, 4})
 
@@ -370,7 +370,7 @@ def test_register_touched_audit():
     register, groups = prepare_registers(cfg(1, 1))
     register.touched.clear()
     register.apply_single(2, EncodingOp.U1.matrix)
-    register.measure_bell(2, 4, make_rng(1))
+    register.measure_bell(2, 4, TrialStreams(1, 0, 1))
     assert register.touched == {2, 4}
 
 
@@ -419,7 +419,10 @@ def test_policy_must_be_a_distribution():
 )
 def test_draw_op_batch_matches_per_trial_draws(policy):
     drawn = draw_op(policy, TrialStreams(9, 0, 300))
-    expected = [draw_op(policy, make_rng(9, t)) for t in range(300)]
+    weights = [policy.get(op, 0.0) for op in ENCODING_OPS]
+    expected = [
+        ENCODING_OPS[oracles.scalar_choice(make_rng(9, t).random(), weights)] for t in range(300)
+    ]
     assert [ENCODING_OPS[i] for i in drawn] == expected
 
 
@@ -438,12 +441,15 @@ def test_register_apply_single_where_mask():
     plus = make_bell(BellKind.PSI_PLUS, 1, 2)
     minus = make_bell(BellKind.PSI_MINUS, 1, 2)
     register = Register([plus])
-    register.apply_single(2, EncodingOp.U1.matrix, where=False)
-    assert register.factor_state(1, 2) is plus
     register.apply_single(2, EncodingOp.U1.matrix, where=np.array([True, False]))
     amps = register.factor_state(1, 2).amps
     assert abs(abs(np.vdot(minus.amps, amps[0])) - 1.0) < 1e-12
     np.testing.assert_allclose(amps[1], plus.amps, atol=1e-15)
+    # without a mask every row takes the op
+    register.apply_single(2, EncodingOp.U1.matrix)
+    amps = register.factor_state(1, 2).amps
+    assert abs(abs(np.vdot(plus.amps, amps[0])) - 1.0) < 1e-12
+    assert abs(abs(np.vdot(minus.amps, amps[1])) - 1.0) < 1e-12
 
 
 # (n_groups, n_checking) of the frozen transcript grid: each size with no,

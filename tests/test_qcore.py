@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from qsdc_swap.qcore import (
     make_bell,
     TrialStreams,
     Uniforms,
-    choose,
     make_rng,
     overlap,
     philox_block,
@@ -198,29 +198,31 @@ def test_bell_branches_removes_measured_qubits():
 
 
 def test_sample_bell_eigenstate_deterministic():
-    rng = make_rng(3)
+    rng = TrialStreams(3, 0, 1)
     for _ in range(20):
         kind, _rest = sample_bell(make_bell(BellKind.PHI_MINUS, 1, 2), 1, 2, rng)
-        assert kind is BellKind.PHI_MINUS
+        assert kind.tolist() == [BELL_KINDS.index(BellKind.PHI_MINUS)]
 
 
 def test_sample_bell_seed_replay():
     state = compose(make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 3, 4))
-    seq1 = [sample_bell(state, 2, 4, make_rng(42, i))[0] for i in range(50)]
-    seq2 = [sample_bell(state, 2, 4, make_rng(42, i))[0] for i in range(50)]
+    seq1 = [sample_bell(state, 2, 4, TrialStreams(42, i, i + 1))[0].tolist() for i in range(50)]
+    seq2 = [sample_bell(state, 2, 4, TrialStreams(42, i, i + 1))[0].tolist() for i in range(50)]
     assert seq1 == seq2
+
+
+def sequential_draws(seed, n):
+    """A source whose n rows hold make_rng(seed)'s first n draws, one each."""
+    return Uniforms(make_rng(seed).random((n, 1)))
 
 
 def test_sample_bell_frequencies_quarter():
     state = compose(make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 3, 4))
-    rng = make_rng(7)
-    counts = {kind: 0 for kind in BELL_KINDS}
     n = 100_000
-    for _ in range(n):
-        kind, _ = sample_bell(state, 2, 4, rng)
-        counts[kind] += 1
-    for kind in BELL_KINDS:
-        assert abs(counts[kind] / n - 0.25) < 0.01
+    outcomes, _ = sample_bell(state, 2, 4, sequential_draws(7, n))
+    counts = np.bincount(outcomes, minlength=len(BELL_KINDS))
+    for count in counts:
+        assert abs(count / n - 0.25) < 0.01
 
 
 def test_sampling_matches_branch_probabilities_chi_square():
@@ -232,12 +234,10 @@ def test_sampling_matches_branch_probabilities_chi_square():
     vec[0b1111] = 0.5
     state = from_oracle((1, 2, 3, 4), vec)
     expected = {b.kind: b.prob for b in bell_branches(state, 1, 2)}
-    rng = make_rng(11)
     n = 100_000
-    counts = {kind: 0 for kind in expected}
-    for _ in range(n):
-        kind, _ = sample_bell(state, 1, 2, rng)
-        counts[kind] += 1
+    outcomes, _ = sample_bell(state, 1, 2, sequential_draws(11, n))
+    counts = Counter(BELL_KINDS[i] for i in outcomes.tolist())
+    assert set(counts) <= set(expected)
     chi2 = sum(
         (counts[k] - n * p) ** 2 / (n * p) for k, p in expected.items() if p > 0
     )
@@ -355,7 +355,8 @@ def test_uniforms_choose_matches_scalar_choose_column_by_column():
     got = np.stack([source.choose(probs) for probs in CHOOSE_PROBS], axis=1)
     for t in range(rows):
         rng = make_rng(5, t)
-        assert got[t].tolist() == [choose(rng, probs) for probs in CHOOSE_PROBS]
+        expected = [oracles.scalar_choice(rng.random(), probs) for probs in CHOOSE_PROBS]
+        assert got[t].tolist() == expected
 
 
 def test_uniforms_raise_past_the_drawn_columns():
@@ -385,17 +386,18 @@ def test_batched_ops_match_single_states_trial_by_trial():
     for t, (k, op) in enumerate(zip(kinds, ops)):
         single = prepare(BELL_KINDS[k], op)
         np.testing.assert_allclose(batch.amps[t], single.amps, atol=1e-12)
-        kind, collapsed = sample_bell(single, 2, 4, make_rng(11, t))
-        assert BELL_KINDS[outcomes[t]] is kind
-        np.testing.assert_allclose(rest.amps[t], collapsed.amps, atol=1e-12)
+        branch = oracles.sampled_branch(make_rng(11, t).random(), bell_branches(single, 2, 4))
+        assert BELL_KINDS[outcomes[t]] is branch.kind
+        np.testing.assert_allclose(rest.amps[t], branch.state.amps, atol=1e-12)
 
 
 def test_single_state_sampled_by_a_batch_of_streams():
     state = compose(make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 3, 4))
     outcomes, rest = sample_bell(state, 2, 4, TrialStreams(42, 0, 50))
-    expected = [sample_bell(state, 2, 4, make_rng(42, i)) for i in range(50)]
-    assert [BELL_KINDS[i] for i in outcomes] == [kind for kind, _ in expected]
-    np.testing.assert_allclose(rest.amps, [s.amps for _, s in expected], atol=1e-12)
+    branches = bell_branches(state, 2, 4)
+    expected = [oracles.sampled_branch(make_rng(42, i).random(), branches) for i in range(50)]
+    assert [BELL_KINDS[i] for i in outcomes] == [b.kind for b in expected]
+    np.testing.assert_allclose(rest.amps, [b.state.amps for b in expected], atol=1e-12)
 
 
 def test_batched_state_vector_validation():
@@ -465,7 +467,8 @@ def test_bell_basis_is_complete(state):
 @given(state=two_qubit_states(), trial=st.integers(0, 1000))
 @settings(max_examples=50, deadline=None)
 def test_measurement_idempotence(state, trial):
-    kind, _ = sample_bell(state, 1, 2, make_rng(9, trial))
+    (outcome,), _ = sample_bell(state, 1, 2, TrialStreams(9, trial, trial + 1))
+    kind = BELL_KINDS[outcome]
     collapsed = make_bell(kind, 1, 2)
     again = bell_branches(collapsed, 1, 2)
     assert len(again) == 1
