@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -179,6 +180,35 @@ def test_replace_attack_joint_outcomes_uniform():
     assert len(joint) == 16
     for p in joint.values():
         assert abs(p - 1.0 / 16.0) < 1e-9
+
+
+# SHA-256 of repr(enumerate_session_leaves(...)) over every cell of
+# LEAF_GRID_CELLS, strategies outermost, frozen from the implementation that
+# built one SessionLeaf dataclass and fresh record tuples per history.
+LEAF_GRID_DIGEST = "c30ba8fa853e2598e437ee23826a18cf21e4c5b6afdb105bd8cd08399596a0f1"
+LEAF_GRID_CELLS = [
+    (checking, predicate, EncodeTarget.SECOND_TRAVEL_PHOTON)
+    for checking in [(), (1,), (2,), (1, 2)]
+    for predicate in PREDICATES
+] + [((1,), predicate, EncodeTarget.FIRST_TRAVEL_PHOTON) for predicate in PREDICATES]
+
+
+def test_session_leaf_grid_digest_is_frozen():
+    # Pins weights, verdicts, decoded bits, records and leaf order of every
+    # two-group checking set, bit for bit.
+    digest = hashlib.sha256()
+    for strategy in STRATEGIES:
+        for checking, predicate, target in LEAF_GRID_CELLS:
+            leaves = enumerate_session_leaves(
+                2,
+                checking,
+                strategy,
+                message_bits="0110"[: 2 * (2 - len(checking))],
+                predicate=predicate,
+                encode_target=target,
+            )
+            digest.update(repr(leaves).encode())
+    assert digest.hexdigest() == LEAF_GRID_DIGEST
 
 
 # Every strategy x predicate x target cell at two groups, and the cheap
