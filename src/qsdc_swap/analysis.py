@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import compress, repeat
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -331,7 +332,10 @@ def exact_detection(
 
     Marginalizes over Eve's branches, the sender's op draw, and both Bell
     measurements.  Detection is independent across groups, so the session
-    figure for m groups is ``session_detection(p, m)``.
+    figure for m groups is ``session_detection(p, m)``; the tests
+    ``test_two_group_detection_composes_iid`` (exact, two and three
+    groups) and ``test_failed_checks_at_33_groups_are_binomial``
+    (sampled, 33 groups) measure that claim.
     """
     return group_leaves(strategy, policy, encode_target).detection(predicate)
 
@@ -428,8 +432,7 @@ def detection_from_swap_algebra(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SessionLeaf:
+class SessionLeaf(NamedTuple):
     """One complete measurement history of an enumerated session."""
 
     prob: float
@@ -439,12 +442,34 @@ class SessionLeaf:
     encoding: tuple[tuple[int, BellKind, BellKind], ...]
 
 
-def _rows(n: int, group: np.ndarray, *columns: list) -> list[tuple]:
-    """Each of ``n`` histories' records, one (group, *fields) tuple per
-    group, from (groups, n) columns given as nested lists; empty tuples
-    without groups."""
-    per_group = [zip([g] * n, *fields) for g, *fields in zip(group.tolist(), *columns)]
-    return list(zip(*per_group)) or [()] * n
+def _rows(n: int, group: np.ndarray, *fields: tuple[np.ndarray, Sequence]) -> list[tuple]:
+    """Each of ``n`` histories' records, one (group, *values) tuple per
+    group; empty tuples without groups.  Each field pairs a (groups, n)
+    column of codes with the values they index.
+
+    Equal records are one shared tuple, and so are equal histories: a
+    group's fields are one mixed-radix code per history, and the groups
+    fold in one at a time, renumbering the distinct histories after each,
+    so no code exceeds n times a group's number of distinct records.
+    """
+    radix = tuple(len(values) for _, values in fields)
+    history = np.zeros(n, dtype=np.intp)
+    per_group = []
+    for g, *codes in zip(group.tolist(), *(column for column, _ in fields)):
+        distinct, inverse = np.unique(np.ravel_multi_index(codes, radix), return_inverse=True)
+        made = list(zip([g] * len(distinct), *(
+            map(values.__getitem__, column.tolist())
+            for (_, values), column in zip(fields, np.unravel_index(distinct, radix))
+        )))
+        per_group.append((inverse, made))
+        _, first, history = np.unique(
+            history * len(distinct) + inverse, return_index=True, return_inverse=True
+        )
+    if not per_group:
+        return [()] * n
+    shared = list(zip(*(map(made.__getitem__, inverse[first].tolist())
+                        for inverse, made in per_group)))
+    return list(map(shared.__getitem__, history.tolist()))
 
 
 def enumerate_session_leaves(
@@ -461,7 +486,11 @@ def enumerate_session_leaves(
 
     Replays ``run_session``'s phases with the groups in
     ``checking_indices`` (distinct integers in ``1..n_groups``) checking;
-    a history that fails the check is one leaf without encoding.
+    a history that fails the check is one leaf without encoding.  The
+    leaves are ``SessionLeaf`` named tuples: first every clean history in
+    outcome-prefix order, then each failing checking history once, in the
+    same order.  Equal records are one shared tuple, and so are equal
+    histories' tuples of records.
     """
     checking: set[int] = set()
     for index in checking_indices:
@@ -484,26 +513,29 @@ def enumerate_session_leaves(
 
     prefixes, prob, (chk, enc, checked) = _replay(session)
     n = len(prob)
-    op_of, kind_of = np.array(ENCODING_OPS, dtype=object), np.array(BELL_KINDS, dtype=object)
-    records = _rows(n, chk.group, op_of[chk.op].tolist(), kind_of[chk.alice].tolist(),
-                    kind_of[chk.bob].tolist(), chk.passed.tolist())
-    encoding = _rows(n, enc.group, kind_of[enc.alice].tolist(), kind_of[enc.bob].tolist())
+    records = _rows(n, chk.group, (chk.op, ENCODING_OPS), (chk.alice, BELL_KINDS),
+                    (chk.bob, BELL_KINDS), (chk.passed, (False, True)))
+    encoding = _rows(n, enc.group, (enc.alice, BELL_KINDS), (enc.bob, BELL_KINDS))
     bits = protocol.decode_message(enc.bob, enc.alice) if len(enc) else [""] * n
-    probs = prob.tolist()
     clean = np.broadcast_to(chk.passed.all(axis=0), n)
-    leaves = [
-        SessionLeaf(probs[i], Verdict.CLEAN, bits[i], records[i], encoding[i])
-        for i in np.flatnonzero(clean).tolist()
-    ]
+    keep = clean.tolist()
+    leaves = list(map(
+        SessionLeaf, compress(prob.tolist(), keep), repeat(Verdict.CLEAN), compress(bits, keep),
+        compress(records, keep), compress(encoding, keep),
+    ))
     # A failed check ends the session, so its rows differ only in encoding
     # outcomes replayed after the check: each checking history is one leaf.
+    # The prefixes come in lexicographic order, so each such history is one
+    # run of rows.
     failing = np.flatnonzero(~clean)
-    _, first, history = np.unique(
-        prefixes[failing, :checked], axis=0, return_index=True, return_inverse=True
-    )
-    merged = np.bincount(history.reshape(-1), prob[failing], len(first))
-    for i, p in zip(failing[first].tolist(), merged.tolist()):
-        leaves.append(SessionLeaf(p, Verdict.EVE_DETECTED, "", records[i], ()))
+    history = prefixes[failing, :checked]
+    starts = np.ones(len(failing), dtype=bool)
+    starts[1:] = (history[1:] != history[:-1]).any(axis=1)
+    merged = np.bincount(np.cumsum(starts) - 1, prob[failing], np.count_nonzero(starts))
+    leaves.extend(map(
+        SessionLeaf, merged.tolist(), repeat(Verdict.EVE_DETECTED), repeat(""),
+        map(records.__getitem__, failing[starts].tolist()), repeat(()),
+    ))
     return leaves
 
 
@@ -773,10 +805,13 @@ def leakage_report(strategy: AttackStrategy) -> dict:
     }
 
 
-def sweep_report(trials: int, seed: int) -> dict:
+def sweep_report(trials: int, seed: int | None) -> dict:
     """All strategies under both predicates, exact figures beside the
     claimed reference values; each strategy's Monte Carlo run and leaf set
-    are computed once and shared by both predicates' rows."""
+    are computed once and shared by both predicates' rows.  ``seed`` is
+    recorded as given: None when ``trials`` is 0 and nothing is sampled."""
+    if trials > 0 and seed is None:
+        raise ValueError("sampling requires a seed")
     rows = []
     for strategy in AttackStrategy:
         mc = monte_carlo(strategy, trials, seed) if trials > 0 else None

@@ -216,13 +216,25 @@ def _trials(cfg: dict, parser: argparse.ArgumentParser, default: int) -> int:
     return trials
 
 
+def _sampling_seed(cfg: dict, trials: int) -> int | None:
+    """The seed Monte Carlo reads; None, with a note if one was given,
+    when nothing is sampled."""
+    if trials:
+        return cfg["seed"]
+    if cfg["seed"] is not None:
+        print("--seed is unused: nothing is sampled", file=sys.stderr)
+    return None
+
+
 def _run_detect(cfg: dict, parser: argparse.ArgumentParser) -> int:
     strategy = _require_strategy(cfg, parser)
     predicate = DetectionPredicate(cfg["predicate"] or "announced-op")
     trials = _trials(cfg, parser, 0)
     if trials and cfg["seed"] is None:
         parser.error("--trials needs --seed")
-    doc = analysis.detection_report(strategy, predicate, trials=trials, seed=cfg["seed"])
+    doc = analysis.detection_report(
+        strategy, predicate, trials=trials, seed=_sampling_seed(cfg, trials)
+    )
     print(f"strategy {doc['strategy']}, predicate {doc['predicate']}")
     print(f"p_exact={doc['p_exact']:.6g}  p_algebra={doc['p_algebra']:.6g}")
     if doc["p_mc"] is not None:
@@ -258,7 +270,7 @@ def _run_sweep(cfg: dict, parser: argparse.ArgumentParser) -> int:
     trials = _trials(cfg, parser, 20000)
     if trials and cfg["seed"] is None:
         parser.error("sweep samples by default; give --seed (or --trials 0)")
-    report = analysis.sweep_report(trials, cfg["seed"] if trials else 0)
+    report = analysis.sweep_report(trials, _sampling_seed(cfg, trials))
     header = (
         f"{'strategy':<18} {'predicate':<13} {'p_exact':>8} {'p_algebra':>9} "
         f"{'p_mc':>8} {'leak':>6} {'claim':>6}"

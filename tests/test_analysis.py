@@ -195,8 +195,10 @@ LEAF_GRID_CELLS = [
 
 def test_session_leaf_grid_digest_is_frozen():
     # Pins weights, verdicts, decoded bits, records and leaf order of every
-    # two-group checking set, bit for bit.
+    # two-group checking set, bit for bit, and checks in every cell that
+    # equal checking histories are one shared tuple.
     digest = hashlib.sha256()
+    shared = {}
     for strategy in STRATEGIES:
         for checking, predicate, target in LEAF_GRID_CELLS:
             leaves = enumerate_session_leaves(
@@ -208,7 +210,45 @@ def test_session_leaf_grid_digest_is_frozen():
                 encode_target=target,
             )
             digest.update(repr(leaves).encode())
+            histories = {id(leaf.checking): leaf.checking for leaf in leaves}
+            assert len(set(histories.values())) == len(histories)
+            shared[strategy, checking, predicate, target] = len(histories)
     assert digest.hexdigest() == LEAF_GRID_DIGEST
+    assert shared[
+        AttackStrategy.REPLACE_MEASURE_BEFORE,
+        (1, 2),
+        DetectionPredicate.ANNOUNCED_OP,
+        EncodeTarget.SECOND_TRAVEL_PHOTON,
+    ] == 4096
+
+
+def test_rows_match_per_row_tuples_past_an_int64_joint_code():
+    # Ten groups of 128 records each: one joint code would need 128**10,
+    # past int64, and rows differing in only the first or the last group
+    # collide when such a code wraps.
+    rng = np.random.default_rng(5)
+    radix, groups = (4, 4, 4, 2), np.arange(3, 13)
+    base = rng.integers(0, 128, size=(10, 10))
+    first, last = base.copy(), base.copy()
+    first[0] = (first[0] + 64) % 128
+    last[-1] = (last[-1] + 64) % 128
+    codes = np.hstack([base, first, last])
+    codes = np.hstack([codes, codes[:, rng.integers(0, 30, size=20)]])
+    values = (ENCODING_OPS, BELL_KINDS, BELL_KINDS, (False, True))
+    columns = np.unravel_index(codes, radix)
+    rows = analysis._rows(50, groups, *zip(columns, values))
+    want = [
+        tuple(
+            (int(g), *(v[c[k, i]] for v, c in zip(values, columns)))
+            for k, g in enumerate(groups)
+        )
+        for i in range(50)
+    ]
+    assert rows == want
+    assert len(set(rows)) == 30
+    assert len({id(row) for row in rows}) == 30
+    records = [record for row in rows for record in row]
+    assert len({id(record) for record in records}) == len(set(records))
 
 
 # Every strategy x predicate x target cell at two groups, and the cheap
@@ -398,6 +438,8 @@ def test_detection_report_schema():
 def test_detection_report_requires_seed_for_sampling():
     with pytest.raises(ValueError):
         detection_report(AttackStrategy.NONE, trials=10, seed=None)
+    with pytest.raises(ValueError, match="sampling requires a seed"):
+        sweep_report(trials=10, seed=None)
 
 
 def test_sweep_report_and_csv():

@@ -124,12 +124,25 @@ def test_detect_mode_report(capsys, tmp_path):
     assert doc["p_mc"] is None
 
 
-def test_detect_without_trials_records_no_seed(tmp_path):
+def test_detect_without_trials_records_no_seed(tmp_path, capsys):
     out = tmp_path / "detect.json"
     assert run_cli("--mode", "detect", "--strategy", "none", "--seed", "5", "--out", str(out)) == 0
     doc = json.loads(out.read_text())
     assert doc["trials"] == 0
     assert doc["seed"] is None
+    assert capsys.readouterr().err == "--seed is unused: nothing is sampled\n"
+
+
+def test_sweep_without_trials_records_no_seed(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert run_cli("--mode", "sweep", "--trials", "0", "--seed", "4", "--out", str(out)) == 0
+    assert capsys.readouterr().err == "--seed is unused: nothing is sampled\n"
+    doc = json.loads(out.read_text())
+    assert doc["trials"] == 0
+    assert doc["seed"] is None
+    assert all(row["seed"] is None for row in doc["rows"])
+    assert run_cli("--mode", "sweep", "--trials", "0") == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_detect_requires_strategy():
