@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, repeat
 from typing import Mapping, NamedTuple, Sequence
 
@@ -442,6 +443,10 @@ class SessionLeaf(NamedTuple):
     encoding: tuple[tuple[int, BellKind, BellKind], ...]
 
 
+# A leaf from its fields, without the Python-level ``__new__`` of a NamedTuple.
+_leaf = partial(tuple.__new__, SessionLeaf)
+
+
 def _rows(n: int, group: np.ndarray, *fields: tuple[np.ndarray, Sequence]) -> list[tuple]:
     """Each of ``n`` histories' records, one (group, *values) tuple per
     group; empty tuples without groups.  Each field pairs a (groups, n)
@@ -519,10 +524,10 @@ def enumerate_session_leaves(
     bits = protocol.decode_message(enc.bob, enc.alice) if len(enc) else [""] * n
     clean = np.broadcast_to(chk.passed.all(axis=0), n)
     keep = clean.tolist()
-    leaves = list(map(
-        SessionLeaf, compress(prob.tolist(), keep), repeat(Verdict.CLEAN), compress(bits, keep),
+    leaves = list(map(_leaf, zip(
+        compress(prob.tolist(), keep), repeat(Verdict.CLEAN), compress(bits, keep),
         compress(records, keep), compress(encoding, keep),
-    ))
+    )))
     # A failed check ends the session, so its rows differ only in encoding
     # outcomes replayed after the check: each checking history is one leaf.
     # The prefixes come in lexicographic order, so each such history is one
@@ -532,10 +537,10 @@ def enumerate_session_leaves(
     starts = np.ones(len(failing), dtype=bool)
     starts[1:] = (history[1:] != history[:-1]).any(axis=1)
     merged = np.bincount(np.cumsum(starts) - 1, prob[failing], np.count_nonzero(starts))
-    leaves.extend(map(
-        SessionLeaf, merged.tolist(), repeat(Verdict.EVE_DETECTED), repeat(""),
+    leaves.extend(map(_leaf, zip(
+        merged.tolist(), repeat(Verdict.EVE_DETECTED), repeat(""),
         map(records.__getitem__, failing[starts].tolist()), repeat(()),
-    ))
+    )))
     return leaves
 
 
@@ -580,6 +585,7 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    qcore.check_seed(seed)
     cfg = _one_group_config(policy, encode_target)
     failures = {pred: 0 for pred in DetectionPredicate}
     for start in range(0, trials, MC_CHUNK):

@@ -43,10 +43,13 @@ class EncodingOp(Enum):
         return _OP_MATRIX[self]
 
     def __repr__(self) -> str:
-        return f"EncodingOp({self.value!r})"
+        return _OP_REPR[self._name_]
 
 
 ENCODING_OPS = (EncodingOp.U0, EncodingOp.U1, EncodingOp.U2, EncodingOp.U3)
+
+# Each op's repr by member name, as qcore keeps the Bell kinds' reprs.
+_OP_REPR = {op.name: f"EncodingOp({op.value!r})" for op in ENCODING_OPS}
 
 _OP_BITS = {
     EncodingOp.U0: "00",

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import analysis, protocol
+from . import analysis, protocol, qcore
 from .adversary import AttackStrategy
 from .protocol import DetectionPredicate, SessionConfig, SessionTranscript
 
@@ -307,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--mode {cfg['mode']} does not read {', '.join(unread)}")
     if cfg["format"] is not None and not cfg["out"]:
         parser.error("--format needs --out")
+    if cfg["seed"] is not None and not 0 <= cfg["seed"] < qcore.SEED_LIMIT:
+        parser.error(f"--seed must be in [0, 2**64), got {cfg['seed']}")
     try:
         if cfg["mode"] == "identities":
             return _run_identities(cfg)

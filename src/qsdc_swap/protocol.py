@@ -164,6 +164,7 @@ class SessionConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        qcore.check_seed(self.seed)
         if self.n_groups < 1:
             raise ValueError("need at least one group")
         if not 0 <= self.n_checking <= self.n_groups:
@@ -214,16 +215,15 @@ class Register:
         return frozenset(self._home)
 
     def add(self, sv: StateVector) -> None:
-        clash = [q for q in sv.qubits if q in self._home]
+        clash = self._home.keys() & sv.qubits
         if clash:
             raise qcore.QubitError(f"register already holds {sorted(clash)}")
         key = self._next_key
         self._next_key += 1
         self._factors[key] = sv
-        for q in sv.qubits:
-            self._home[q] = key
+        self._home.update(dict.fromkeys(sv.qubits, key))
         self._next_qubit = max(self._next_qubit, max(sv.qubits) + 1)
-        self.touched |= set(sv.qubits)
+        self.touched.update(sv.qubits)
 
     def allocate(self, k: int) -> tuple[int, ...]:
         """Reserve ``k`` fresh qubit ids; ids are never reused."""
@@ -256,15 +256,16 @@ class Register:
             raise qcore.QubitError(f"qubit {q} is not in the register") from None
 
     def _merge(self, qubits: Iterable[int]) -> int:
-        keys = sorted({self._key_of(q) for q in qubits})
+        """The key of the one factor that holds ``qubits``: the factors they
+        span, composed in key order under the lowest key."""
+        keys = sorted(set(map(self._key_of, qubits)))
         main = keys[0]
-        sv = self._factors[main]
-        for key in keys[1:]:
-            sv = qcore.compose(sv, self._factors[key])
-            del self._factors[key]
-        self._factors[main] = sv
-        for q in sv.qubits:
-            self._home[q] = main
+        if len(keys) > 1:
+            sv = self._factors[main]
+            for key in keys[1:]:
+                sv = qcore.compose(sv, self._factors.pop(key))
+            self._factors[main] = sv
+            self._home.update(dict.fromkeys(sv.qubits, main))
         return main
 
     def factor_state(self, *qubits: int) -> StateVector:
@@ -281,7 +282,7 @@ class Register:
         self._factors[key] = qcore.apply_single(self._factors[key], q, matrix)
 
     def apply_cnot(self, control: int, target: int) -> None:
-        self.touched |= {control, target}
+        self.touched.update((control, target))
         key = self._merge((control, target))
         self._factors[key] = qcore.apply_cnot(self._factors[key], control, target)
 
@@ -298,7 +299,7 @@ class Register:
     ) -> np.ndarray:
         """Sample a Bell measurement of ``(a, b)``, one outcome per batch row
         as an int array indexing BELL_KINDS, and collapse in place."""
-        self.touched |= {a, b}
+        self.touched.update((a, b))
         key = self._merge((a, b))
         kind, collapsed = qcore.sample_bell(self._factors[key], a, b, rng)
         self._drop_pair(key, a, b, collapsed)
@@ -344,6 +345,12 @@ def prepare_registers(cfg: SessionConfig) -> tuple[Register, list[Group]]:
 
 
 def _pair_register(n_groups: int) -> Register:
+    return _prepared_pairs(n_groups).clone()
+
+
+@lru_cache(maxsize=16)
+def _prepared_pairs(n_groups: int) -> Register:
+    """The initial register of ``n_groups`` groups, which only ``clone`` reads."""
     return Register(
         qcore.make_bell(BellKind.PSI_PLUS, 2 * pair - 1, 2 * pair)
         for pair in range(1, 2 * n_groups + 1)
@@ -403,6 +410,11 @@ def _indices(groups: Sequence[Group]) -> np.ndarray:
 _WORD_OPS = {op.bits: i for i, op in enumerate(ENCODING_OPS)}
 
 
+def _words(bits: str) -> Iterator[str]:
+    """The two-bit words of ``bits``, in order."""
+    return map(str.__add__, bits[::2], bits[1::2])
+
+
 def run_encoding(
     register: Register,
     groups: Sequence[Group],
@@ -417,12 +429,12 @@ def run_encoding(
     either one message for every row or a sequence of one per row."""
     single = isinstance(message_bits, str)
     messages = [message_bits] if single else message_bits
-    for bits in messages:
-        if len(bits) != 2 * len(groups):
-            raise ValueError(f"{len(bits)} bits do not fill {len(groups)} encoding groups")
-    words = [bits[i : i + 2] for bits in messages for i in range(0, len(bits), 2)]
+    if not set(map(len, messages)) <= {2 * len(groups)}:
+        bits = next(bits for bits in messages if len(bits) != 2 * len(groups))
+        raise ValueError(f"{len(bits)} bits do not fill {len(groups)} encoding groups")
+    text = "".join(messages)
     try:
-        ops = np.array([_WORD_OPS[w] for w in words], dtype=np.intp)
+        ops = np.fromiter(map(_WORD_OPS.__getitem__, _words(text)), np.intp, len(text) // 2)
     except KeyError as exc:
         raise ValueError(f"no coding op for word {exc.args[0]!r}") from None
     ops = ops.reshape(len(messages), len(groups))
@@ -453,6 +465,7 @@ def decode_message(bob: np.ndarray, alice: np.ndarray) -> str | list[str]:
 # A group's role in a transcript's group table is a code indexing ROLES;
 # None marks a group no partition has assigned.
 ROLES = (None, GroupRole.CHECKING, GroupRole.ENCODING)
+_CHECKING_ROLE, _ENCODING_ROLE = ROLES.index(GroupRole.CHECKING), ROLES.index(GroupRole.ENCODING)
 
 
 def _only(values: Sequence, types: set, what: str) -> None:
@@ -621,7 +634,7 @@ class SessionTranscript:
     def redecode(self) -> str:
         """Re-derive the message from announcements and Bob's outcomes,
         taking the encoding groups in index order."""
-        order = np.argsort(self.encoding.group, kind="stable")
+        order = self.encoding.group.argsort(kind="stable")
         return decode_message(self.encoding.bob[order], self.encoding.alice[order])
 
     def to_json_dict(self) -> dict:
@@ -709,6 +722,7 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
 
     if strategy is None:
         strategy = adversary.AttackStrategy.NONE
+    n = cfg.n_groups
     rng = qcore.make_rng(cfg.seed)
     draws, fresh = adversary.attack_footprint(strategy)
 
@@ -717,69 +731,87 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
         strategy,
         register,
         [template],
-        qcore.Uniforms(rng.random((cfg.n_groups, draws))),
+        qcore.Uniforms(rng.random((n, draws))),
         adversary.EveMemory(strategy=strategy),
     )
-    index = np.arange(1, cfg.n_groups + 1)
-    first, step = _travel_slots(cfg.n_groups, template.alice_qubits, fresh)
-    # Bob keeps 4g-3 and 4g-1 of group g, beside Alice's travel slots.
-    slots = (index[:, None] - 1) * (4, 4, *step) + (1, 3, *first)
-    mask = _checking_mask(cfg.n_groups, cfg.n_checking, rng)
-    groups = GroupTable(
-        index,
-        slots[:, :2],
-        slots[:, 2:],
-        np.where(mask, ROLES.index(GroupRole.CHECKING), ROLES.index(GroupRole.ENCODING)),
-    )
-    checking, encoding = np.flatnonzero(mask), np.flatnonzero(~mask)
+    mask = _checking_mask(n, cfg.n_checking, rng)
+    groups = _group_table(mask, template.alice_qubits, fresh)
+    k = cfg.n_checking
+    # The groups of each role in index order.
+    order = (~mask).argsort(kind="stable")
+    checking, encoding = order[:k], order[k:]
+    e = n - k
+    # The rest of the draws at once, in the order the phases read them:
+    # Alice's (op, outcome) pair per checking group, then Bob's outcome per
+    # checking group, then Alice's outcome per encoding group, then Bob's.
+    # A session that fails the check leaves the encoding ones unread.
+    drawn = rng.random(3 * k + 2 * e)
+    alice_checks, bob_checks = drawn[: 2 * k].reshape(k, 2), drawn[2 * k : 3 * k, None]
+    encodings = drawn[3 * k :].reshape(2, e).T
 
     # A phase that covers every group runs on the register itself, which
     # no later phase reads.
-    none = np.zeros(0, dtype=np.intp)
-    checked = CheckingRecords(none, none, none, none, none.astype(bool))
-    if len(checking):
-        # Alice's (op, outcome) pair per group, then Bob's outcome per group.
-        uniforms = np.column_stack([rng.random((len(checking), 2)), rng.random(len(checking))])
+    (checked, encoded), decoded = _no_records(), ""
+    verdict = Verdict.CLEAN
+    if k:
         chk = run_checking(
-            register if len(checking) == cfg.n_groups else register.take(checking),
+            register if k == n else register.take(checking),
             [template],
-            qcore.Uniforms(uniforms),
+            qcore.Uniforms(np.concatenate((alice_checks, bob_checks), axis=1)),
             policy=cfg.checking_op_policy,
             encode_target=cfg.encode_target,
             predicate=cfg.predicate,
         )
         # The template group's one record per row is a record per group.
-        checked = CheckingRecords(
-            groups.index[checking], chk.op[0], chk.alice[0], chk.bob[0], chk.passed[0]
-        )
-    verdict = Verdict.CLEAN if checked.passed.all() else Verdict.EVE_DETECTED
+        checked = CheckingRecords(checking + 1, chk.op[0], chk.alice[0], chk.bob[0], chk.passed[0])
+        if not checked.passed.all():
+            verdict = Verdict.EVE_DETECTED
 
-    encoded, decoded = EncodingRecords(none, none, none), ""
-    if verdict is Verdict.CLEAN and len(encoding):
+    if verdict is Verdict.CLEAN and e:
         bits = cfg.message_bits
-        # Alice's outcome per group, then Bob's outcome per group.
         enc = run_encoding(
-            register if len(encoding) == cfg.n_groups else register.take(encoding),
+            register if e == n else register.take(encoding),
             [template],
-            [bits[i : i + 2] for i in range(0, len(bits), 2)],
-            qcore.Uniforms(rng.random((2, len(encoding))).T),
+            list(_words(bits)),
+            qcore.Uniforms(encodings),
             encode_target=cfg.encode_target,
         )
-        encoded = EncodingRecords(groups.index[encoding], enc.alice[0], enc.bob[0])
+        encoded = EncodingRecords(encoding + 1, enc.alice[0], enc.bob[0])
         decoded = decode_message(encoded.bob, encoded.alice)
     return SessionTranscript(groups, checked, encoded, verdict, decoded)
 
 
-def _travel_slots(
-    n_groups: int, template_alice: tuple[int, int], fresh: int
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(first, step) of Alice's travel slots: group g's point at
-    ``first + step * (g - 1)``, its own copies of the template's travel
-    qubits.  Template id q <= 4 is group g's ``4(g-1) + q``, and Eve's ids,
-    ``fresh`` per group, follow the 4G honest ones in group order, as
-    one-at-a-time allocation hands them out.
+def _group_table(mask: np.ndarray, template_alice: tuple[int, int], fresh: int) -> GroupTable:
+    """The group table of a session whose checking groups are ``mask``."""
+    n = len(mask)
+    step, first, per_group = _slot_rule(template_alice, fresh)
+    offset = np.arange(n)
+    slots = offset[:, None] * step + (first + n * per_group)
+    role = np.where(mask, _CHECKING_ROLE, _ENCODING_ROLE)
+    return GroupTable(offset + 1, slots[:, :2], slots[:, 2:], role)
+
+
+@lru_cache(maxsize=None)
+def _slot_rule(template_alice: tuple[int, int], fresh: int) -> tuple[np.ndarray, ...]:
+    """(step, first, per_group) of the qubit ids in Bob's kept slots and
+    Alice's travel slots: group g's ids are ``first + G * per_group + step
+    * (g - 1)`` in a session of G groups.
+
+    Bob keeps 4g-3 and 4g-1 of group g.  Its travel slots hold its own
+    copies of the template's travel qubits: template id q <= 4 is group
+    g's ``4(g-1) + q``, and Eve's ids, ``fresh`` per group, follow the 4G
+    honest ones in group order, as one-at-a-time allocation hands them out.
     """
-    first, step = zip(
-        *((q, 4) if q <= 4 else (4 * n_groups + q - 4, fresh) for q in template_alice)
-    )
-    return first, step
+    rule = [(4, 1, 0), (4, 3, 0)]
+    rule += [(4, q, 0) if q <= 4 else (fresh, q - 4, 4) for q in template_alice]
+    columns = tuple(np.array(column) for column in zip(*rule))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def _no_records() -> tuple[CheckingRecords, EncodingRecords]:
+    """Empty checking and encoding records."""
+    none = np.zeros(0, dtype=np.intp)
+    checking = CheckingRecords(none, none, none, none, none.astype(bool))
+    return checking, EncodingRecords(none, none, none)

@@ -30,6 +30,32 @@ index ``BELL_KINDS``.  The sources behind the hook are row sources:
 ``TrialStreams`` draws the per-trial uniforms, ``Uniforms`` hands out a
 session's pre-drawn ones, and ``analysis`` replays the same code under
 scripted outcomes to enumerate every history with exact weights.
+
+Arithmetic.  Reports print exact figures to full precision and the
+transcript and leaf digests pin every drawn outcome, so the floating-point
+operations of a Bell measurement are fixed, not only their values:
+
+* Projection: the pair's amplitudes are gathered, through an index cached
+  per ``(n, ia, ib)``, into rows of four (rest index major, then the
+  pair's ``|00>, |01>, |10>, |11>``), and one flat ``(B * rest, 4) @ (4,
+  4)`` product with the transposed Bell bras projects every row.  This is
+  bit-identical to the original ``(4, 4) @ (4, B * rest)`` product over
+  the pair's axes moved to the front (``tests/oracles.py``
+  ``pair_projections``).
+* Probabilities: ``einsum`` of each projected vector's conjugate with
+  itself, summed over the rest index.
+* Collapse: the chosen vector divided by the square root of its
+  probability.
+* Choice: cumulative weights added in outcome order, compared with the
+  row's uniform.
+
+A single-qubit op adds its two column products; with the coding ops,
+whose entries are 0 and +-1, every product and sum is exact.
+
+Measured alternatives that are not bit-identical to the original: the
+per-row product ``_BELL_BRA @ (B, 4, rest)`` (the last bit differs at
+n = 2), sums and differences scaled by 1/sqrt(2) in place of the
+product, and real-part rewrites of the probabilities.
 """
 
 from __future__ import annotations
@@ -65,7 +91,7 @@ class BellKind(Enum):
     PSI_MINUS = "psi-"
 
     def __repr__(self) -> str:
-        return f"BellKind({self.value!r})"
+        return _KIND_REPR[self._name_]
 
 
 BELL_KINDS = (
@@ -74,6 +100,10 @@ BELL_KINDS = (
     BellKind.PSI_PLUS,
     BellKind.PSI_MINUS,
 )
+
+# Each kind's repr by member name: enum leaves repr and hash to Python
+# code, and reprs of enumerated leaves print millions of kinds.
+_KIND_REPR = {kind.name: f"BellKind({kind.value!r})" for kind in BELL_KINDS}
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -88,6 +118,8 @@ _BELL_MATRIX = {
 # Bell basis as one 4x4 block: row = kind, column = |xy> index.
 _BELL_VECTORS = np.stack([_BELL_MATRIX[k].reshape(-1) for k in BELL_KINDS])
 _BELL_BRA = _BELL_VECTORS.conj()
+# The right factor of the projection product (module docstring, Arithmetic).
+_BELL_KET = _BELL_BRA.T
 
 # The four single-photon coding operations.
 U0 = np.eye(2, dtype=complex)
@@ -169,13 +201,11 @@ def _unit_norm(
     amps: np.ndarray, message: str = "operation broke normalization: norm squared {}"
 ) -> np.ndarray:
     """Check every state's norm; ``message`` formats the worst norm squared."""
-    if amps.ndim == 1:
-        norm = float(np.vdot(amps, amps).real)
-    else:
-        norms = np.einsum("bi,bi->b", amps.conj(), amps).real
-        norm = float(norms[np.abs(norms - 1.0).argmax()]) if norms.size else 1.0
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(message.format(norm))
+    norms = np.einsum("...i,...i->...", amps.conj(), amps).real
+    off = np.abs(norms - 1.0)
+    # ``not <=`` also fails a NaN norm, which every ``>`` test lets through.
+    if not off.max(initial=0.0) <= NORM_TOL:
+        raise ValueError(message.format(float(np.ravel(norms)[off.argmax()])))
     return amps
 
 
@@ -218,13 +248,14 @@ def compose(s1: StateVector, s2: StateVector) -> StateVector:
 
     A single state composed with a batch is paired with every state in it.
     """
-    shared = set(s1.qubits) & set(s2.qubits)
+    qubits = s1.qubits + s2.qubits
+    shared = set(s1.qubits).intersection(s2.qubits)
     if shared:
         raise QubitError(f"qubit sets overlap on {sorted(shared)}")
-    if s1.n + s2.n > MAX_QUBITS:
-        raise QubitError(f"{s1.n + s2.n} qubits exceeds the register cap of {MAX_QUBITS}")
+    if len(qubits) > MAX_QUBITS:
+        raise QubitError(f"{len(qubits)} qubits exceeds the register cap of {MAX_QUBITS}")
     amps = s1.amps[..., :, None] * s2.amps[..., None, :]
-    return _trusted(s1.qubits + s2.qubits, amps.reshape(amps.shape[:-2] + (-1,)))
+    return _trusted(qubits, amps.reshape(amps.shape[:-2] + (-1,)))
 
 
 def apply_single(state: StateVector, q: int, op: np.ndarray) -> StateVector:
@@ -237,10 +268,12 @@ def apply_single(state: StateVector, q: int, op: np.ndarray) -> StateVector:
     if op.shape[-2:] != (2, 2) or op.ndim > 3:
         raise ValueError(f"single-qubit operator must be 2x2 or (B, 2, 2), got {op.shape}")
     i = state.index_of(q)
-    # Each state as (qubits before q, q, qubits after q); the leading
-    # ellipsis pairs per-trial matrices with per-trial states.
-    arr = state.amps.reshape(state.amps.shape[:-1] + (2**i, 2, 2 ** (state.n - i - 1)))
-    arr = np.einsum("...xy,...lyr->...lxr", op, arr)
+    # Each state as (qubits before q, q, qubits after q), and each matrix
+    # column against the matching slice of q's axis: leading axes pair
+    # per-trial matrices with per-trial states.
+    amps = state.amps
+    arr = amps.reshape(amps.shape[:-1] + (1 << i, 2, 1 << (len(state.qubits) - i - 1)))
+    arr = op[..., None, :, 0, None] * arr[..., :1, :] + op[..., None, :, 1, None] * arr[..., 1:, :]
     return _trusted(state.qubits, _unit_norm(arr.reshape(arr.shape[:-3] + (-1,))))
 
 
@@ -249,13 +282,32 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     if control == target:
         raise QubitError("control and target must differ")
     ic, it = state.index_of(control), state.index_of(target)
-    lead = state.amps.ndim - 1  # the batch axis, if any
-    arr = state.tensor().copy()
-    sl = [slice(None)] * (lead + state.n)
-    sl[lead + ic] = 1
-    axis = lead + (it - 1 if it > ic else it)
-    arr[tuple(sl)] = np.flip(arr[tuple(sl)], axis=axis)
-    return _trusted(state.qubits, arr.reshape(state.amps.shape))
+    permuted = state.amps.take(_cnot_gather(len(state.qubits), ic, it), axis=-1)
+    return _trusted(state.qubits, permuted)
+
+
+@lru_cache(maxsize=None)
+def _cnot_gather(n: int, ic: int, it: int) -> np.ndarray:
+    """Amplitude indices of an n-qubit register with the qubit at ``it``
+    flipped where the one at ``ic`` is 1: a CNOT is this permutation."""
+    idx = np.arange(1 << n).reshape((2,) * n)
+    sl = [slice(None)] * n
+    sl[ic] = 1
+    idx[tuple(sl)] = np.flip(idx[tuple(sl)], axis=it - 1 if it > ic else it)
+    idx = idx.reshape(-1)
+    idx.flags.writeable = False
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _pair_gather(n: int, ia: int, ib: int) -> np.ndarray:
+    """Amplitude indices of the Bell pair at positions ``(ia, ib)`` of an
+    n-qubit register, as a (rest, 4) array: row r holds the indices of the
+    rest state r beside the pair's |00>, |01>, |10>, |11>."""
+    idx = np.moveaxis(np.arange(1 << n).reshape((2,) * n), (ia, ib), (0, 1))
+    gather = np.ascontiguousarray(idx.reshape(4, -1).T)
+    gather.flags.writeable = False
+    return gather
 
 
 def _pair_projections(
@@ -265,22 +317,21 @@ def _pair_projections(
 
     Returns the remaining qubit order, a (4, rest) array of unnormalized
     collapsed vectors indexed like BELL_KINDS, and the 4 probabilities;
-    for a batch, (B, 4, rest) and (B, 4).
+    for a batch, (B, 4, rest) and (B, 4).  The vectors are a view of one
+    (..., rest, 4) block (module docstring, Arithmetic).
     """
     if a == b:
         raise QubitError("cannot Bell-measure a qubit against itself")
+    qubits, amps = state.qubits, state.amps
     ia, ib = state.index_of(a), state.index_of(b)
-    rest = tuple(q for q in state.qubits if q != a and q != b)
-    lead = state.amps.ndim - 1  # the batch axis, if any
-    arr = np.moveaxis(state.tensor(), (lead + ia, lead + ib), (0, 1)).reshape(4, -1)
-    projected = _BELL_BRA @ arr
-    if not lead:
+    lo, hi = (ia, ib) if ia < ib else (ib, ia)
+    rest = qubits[:lo] + qubits[lo + 1 : hi] + qubits[hi + 1 :]
+    pairs = amps.take(_pair_gather(len(qubits), ia, ib), axis=-1)
+    projected = (pairs.reshape(-1, 4) @ _BELL_KET).reshape(pairs.shape).swapaxes(-1, -2)
+    if amps.ndim == 1:
         probs = np.einsum("ij,ij->i", projected.conj(), projected).real
-        return rest, projected, probs
-    # The pair's axes went in front of the batch axis, so that one
-    # (4, 4) @ (4, B * rest) product projected every state of the batch.
-    projected = projected.reshape(4, state.amps.shape[0], -1).swapaxes(0, 1)
-    probs = np.einsum("bij,bij->bi", projected.conj(), projected).real
+    else:
+        probs = np.einsum("bij,bij->bi", projected.conj(), projected).real
     return rest, projected, probs
 
 
@@ -334,14 +385,15 @@ def sample_bell(
     if probs.ndim == 1:  # one state, an outcome per row
         vecs, p = projected[chosen], probs[chosen]
     else:
-        rows = np.arange(probs.shape[0])
+        rows = np.arange(len(chosen))
         vecs, p = projected[rows, chosen], probs[rows, chosen]
-    return chosen, _trusted(rest, vecs / np.sqrt(p)[:, None])
+    vecs /= np.sqrt(p)[:, None]
+    return chosen, _trusted(rest, vecs)
 
 
 def kind_in(kind: np.ndarray, kinds) -> np.ndarray:
     """Whether each outcome, an int indexing BELL_KINDS, is one of ``kinds``."""
-    return np.isin(kind, [BELL_KINDS.index(k) for k in kinds])
+    return np.array([k in kinds for k in BELL_KINDS])[kind]
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:
@@ -372,18 +424,54 @@ def classify_bell(state: StateVector, tol: float = NORM_TOL) -> BellKind | None:
     return None
 
 
+# Seeds and stream indices are Philox key words.
+SEED_LIMIT = 1 << 64
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` if it is an integer in ``[0, 2**64)``, the range of a Philox
+    key word, else a ValueError that names the range: numpy would wrap a
+    seed outside it onto one inside it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return int(seed)
+
+
+@lru_cache(maxsize=None)
+def _philox_key() -> type:
+    """The seed sequence that hands Philox its key ``(seed, stream)``.
+
+    Philox takes its key from ``generate_state(2, np.uint64)``, and a
+    keyed Philox would read OS entropy for a seed sequence it then drops.
+    Made on first use, as numpy loads ``numpy.random`` on first use.
+    """
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        def __init__(self, seed: int, stream: int):
+            self.key = (seed, stream)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return PhiloxKey
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based deterministic generator keyed by (seed, stream).
+    """Counter-based deterministic generator keyed by (seed, stream), each
+    in ``[0, 2**64)``.
 
     Stream indices split independent generators cheaply, so parallel work
     stays reproducible without sharing state.  Monte Carlo trial ``t``
     uses the leading draws of ``make_rng(seed, t)``; ``TrialStreams``
     computes those draws for a whole range of trials at once, bit for bit.
+    Its draws are those of ``np.random.Philox(key=[seed, stream])``.
     """
-    packed = np.array(
-        [int(seed) % (1 << 64), int(stream) % (1 << 64)], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=packed))
+    seed, stream = int(seed), int(stream)
+    if not (0 <= seed < SEED_LIMIT and 0 <= stream < SEED_LIMIT):
+        raise ValueError(f"seed and stream must be in [0, 2**64), got {seed} and {stream}")
+    return np.random.Generator(np.random.Philox(_philox_key()(seed, stream)))
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -424,7 +512,7 @@ def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
     c1 = np.zeros(n, dtype=np.uint64)
     c2 = np.zeros(n, dtype=np.uint64)
     c3 = np.zeros(n, dtype=np.uint64)
-    k0 = np.full(n, int(seed) % (1 << 64), dtype=np.uint64)
+    k0 = np.full(n, check_seed(seed), dtype=np.uint64)
     k1 = streams.copy()
     for r in range(_PHILOX_ROUNDS):
         if r:
@@ -440,8 +528,13 @@ def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:
     """``choose``'s rule for every row at once, row i deciding by
     ``uniforms[i]``."""
     probs = np.asarray(probs)
-    hit = (uniforms[:, None] < np.cumsum(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
-    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), probs.argmax(axis=-1))
+    hit = (uniforms[:, None] < np.add.accumulate(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
+    chosen = hit.argmax(axis=-1)
+    # The ufuncs' own reductions, without ndarray.any's Python wrapper.
+    missed = ~np.logical_or.reduce(hit, axis=-1)
+    if np.logical_or.reduce(missed):  # only these rows take the likeliest
+        chosen[missed] = (probs[missed] if probs.ndim > 1 else probs).argmax(axis=-1)
+    return chosen
 
 
 class TrialStreams:
@@ -454,9 +547,9 @@ class TrialStreams:
     """
 
     def __init__(self, seed: int, start: int, stop: int):
-        if not 0 <= start <= stop:
+        if not 0 <= start <= stop <= SEED_LIMIT:
             raise ValueError(f"bad trial range [{start}, {stop})")
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self.streams = np.arange(start, stop, dtype=np.uint64)
         self._drawn = 0
         self._block: np.ndarray | None = None  # uniforms of the current block

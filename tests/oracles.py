@@ -90,6 +90,26 @@ def bell_product(pairs, order):
     return reorder(kron_all(*vecs), src, order)
 
 
+# The Bell basis as bras, one row per kind in KINDS order.
+BELL_BRA = np.stack([BELL_VEC[k] for k in KINDS]).conj()
+
+
+def pair_projections(amps, ia, ib):
+    """Bell-basis projections of the pair at positions ``(ia, ib)`` of a
+    state or a (B, 2**n) batch, in the state engine's first arithmetic:
+    the pair's axes moved to the front, then one (4, 4) @ (4, B * rest)
+    product.  Returns the (..., 4, rest) unnormalized collapsed vectors
+    and the (..., 4) probabilities."""
+    n = amps.shape[-1].bit_length() - 1
+    lead = amps.ndim - 1
+    tensor = amps.reshape(amps.shape[:-1] + (2,) * n)
+    projected = BELL_BRA @ np.moveaxis(tensor, (lead + ia, lead + ib), (0, 1)).reshape(4, -1)
+    if not lead:
+        return projected, np.einsum("ij,ij->i", projected.conj(), projected).real
+    projected = projected.reshape(4, amps.shape[0], -1).swapaxes(0, 1)
+    return projected, np.einsum("bij,bij->bi", projected.conj(), projected).real
+
+
 # Outcomes less likely than this are never drawn (qcore.MIN_BRANCH_PROB).
 MIN_BRANCH_PROB = 1e-12
 

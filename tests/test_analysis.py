@@ -405,6 +405,12 @@ def test_monte_carlo_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_monte_carlo_rejects_seeds_outside_the_key_range(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        monte_carlo(AttackStrategy.NONE, 10, seed=seed)
+
+
 def test_monte_carlo_honest_never_fails():
     mc = monte_carlo(AttackStrategy.NONE, 10_000, seed=1)
     assert mc.failures[DetectionPredicate.ANNOUNCED_OP] == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -267,6 +268,38 @@ def test_sweep_sampling_requires_seed():
     with pytest.raises(SystemExit) as err:
         run_cli("--mode", "sweep", "--trials", "50")
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("mode", ["session", "sweep"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_the_key_range_exits_2(mode, seed, capsys):
+    argv = ["--mode", mode, "--seed", seed]
+    if mode == "session":
+        argv += ["--n-groups", "1", "--n-checking", "1"]
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    assert f"--seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+# SHA-256 of report bytes, frozen from the program before the projection
+# kernel was rebuilt: byte identity across runs of one program would not
+# catch a last-bit change of an exact figure.
+FROZEN_REPORTS = {
+    ("sweep.json", "--mode", "sweep", "--trials", "2000", "--seed", "4", "--format", "json"):
+        "32185d9132f53411245108d73e4ecc26775632c0a23b0f448bdf15e59eae0649",
+    ("sweep.csv", "--mode", "sweep", "--trials", "2000", "--seed", "4", "--format", "csv"):
+        "d9e3a4f6444afd0ca705d57122dbf75ea3ade02be8d6858977adb4f6351d364d",
+    ("leakage.json", "--mode", "leakage", "--strategy", "replace-after"):
+        "41165b5cf53ece082de32d17cec9cbbbf7f77260b835ccfb719ca107c76118e1",
+}
+
+
+def test_report_bytes_are_frozen(tmp_path, capsys):
+    for (name, *argv), digest in FROZEN_REPORTS.items():
+        out = tmp_path / name
+        assert run_cli(*argv, "--out", str(out)) == 0
+        assert hashlib.sha256(read_bytes(out)).hexdigest() == digest, name
 
 
 def test_reports_are_byte_identical(tmp_path):

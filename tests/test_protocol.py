@@ -305,6 +305,14 @@ def test_session_config_counts_and_seed_must_be_integers(field, value):
         SessionConfig(message_bits="01", **values)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_session_config_seed_must_be_a_key_word(seed):
+    # numpy would wrap -1 onto 2**64 - 1, the same session under another seed
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\), got "):
+        SessionConfig(n_groups=1, n_checking=1, seed=seed)
+    assert SessionConfig(n_groups=1, n_checking=1, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_check_passes_predicates():
     # honestly encoded pair under u2: receiver psi+, sender phi+
     assert check_passes(

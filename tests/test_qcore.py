@@ -31,6 +31,7 @@ from qsdc_swap.qcore import (
     philox_block,
     sample_bell,
     single_qubit,
+    _pair_projections,
 )
 
 KIND = {k.value: k for k in BELL_KINDS}
@@ -299,7 +300,7 @@ def test_rng_streams_are_independent():
 # per-trial streams and batched states
 # ---------------------------------------------------------------------------
 
-PHILOX_SEEDS = [0, 7, 2**63 + 5, -3]
+PHILOX_SEEDS = [0, 7, 2**63 + 5, 2**64 - 3]
 # Trial ranges straddling the first and second Monte Carlo chunk boundary.
 CHUNK_STRADDLES = [(MC_CHUNK - 3, MC_CHUNK + 4), (2 * MC_CHUNK - 1, 2 * MC_CHUNK + 2)]
 
@@ -322,9 +323,9 @@ def test_philox_block_matches_numpy_philox(seed, start, stop):
     trials = np.arange(start, stop, dtype=np.uint64)
     got = np.hstack([philox_block(seed, trials, k) for k in range(3)])
     for row, trial in zip(got, range(start, stop)):
-        # a uint64 key as make_rng packs it: numpy converts a plain list
-        # key through float64, which rounds seeds past 2**53
-        key = np.array([seed % 2**64, trial], dtype=np.uint64)
+        # a uint64 key: numpy converts a plain list key through float64,
+        # which rounds seeds past 2**53
+        key = np.array([seed, trial], dtype=np.uint64)
         assert row.tolist() == np.random.Philox(key=key).random_raw(12).tolist()
 
 
@@ -333,6 +334,28 @@ def test_trial_streams_reject_bad_range():
         TrialStreams(0, 5, 4)
     with pytest.raises(ValueError):
         TrialStreams(0, -1, 4)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+def test_trial_streams_reject_seeds_that_are_not_key_words(seed):
+    # numpy would wrap -1 onto 2**64 - 1 and draw that seed's streams
+    with pytest.raises(ValueError, match="seed must be"):
+        TrialStreams(seed, 0, 4)
+
+
+@pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_make_rng_rejects_keys_outside_the_key_range(seed, stream):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        make_rng(seed, stream)
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (5, 3), (2**64 - 1, 2**64 - 1)])
+def test_make_rng_draws_keyed_philox(seed, stream):
+    key = np.array([seed, stream], dtype=np.uint64)
+    reference = np.random.Generator(np.random.Philox(key=key))
+    rng = make_rng(seed, stream)
+    assert rng.random(9).tolist() == reference.random(9).tolist()
+    assert rng.permutation(33).tolist() == reference.permutation(33).tolist()
 
 
 # Outcome weights for choose's rule: a zero and a sub-threshold weight, a
@@ -357,6 +380,24 @@ def test_uniforms_choose_matches_scalar_choose_column_by_column():
         rng = make_rng(5, t)
         expected = [oracles.scalar_choice(rng.random(), probs) for probs in CHOOSE_PROBS]
         assert got[t].tolist() == expected
+
+
+def test_uniforms_choose_per_row_probabilities_match_scalar_choose():
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(4), size=200)
+    uniforms = rng.random(200)
+    # a 1e-13 outcome, first and in the middle, under a uniform inside its
+    # weight: the draw passes it over for the next outcome whose sum exceeds
+    # the uniform
+    probs[:2] = [[1e-13, 0.3, 0.3, 0.4 - 1e-13], [0.5, 1e-13, 0.0, 0.5 - 1e-13]]
+    uniforms[:2] = [5e-14, 0.5 + 5e-14]
+    # cumulative sums that end below the row's uniform
+    probs[2:4] = [[0.2, 0.3, 0.1, 0.05], [0.25, 0.25, 0.25, 0.25 - 1e-12]]
+    uniforms[2:4] = [0.9, 1.0 - 1e-13]
+    expected = [oracles.scalar_choice(u, row) for u, row in zip(uniforms, probs)]
+    assert expected[:4] == [1, 3, 1, 0]
+    got = Uniforms(uniforms[:, None]).choose(probs)
+    assert got.tolist() == expected
 
 
 def test_uniforms_raise_past_the_drawn_columns():
@@ -485,3 +526,33 @@ def test_cnot_norm_and_involution(op):
     once = apply_cnot(state, 2, 3)
     assert abs(np.vdot(once.amps, once.amps).real - 1.0) < 1e-9
     assert abs(overlap(state, apply_cnot(once, 2, 3)) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the projection kernel against its first arithmetic
+# ---------------------------------------------------------------------------
+
+
+def random_amps(rng, n, batch=None):
+    shape = (2**n,) if batch is None else (batch, 2**n)
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_pair_projections_are_bit_identical_to_the_oracle(n):
+    rng = np.random.default_rng(n)
+    qubits = tuple(range(10, 10 + n))
+    for batch in (None, 1, 3, 256, 1024):
+        state = StateVector(qubits, random_amps(rng, n, batch))
+        for ia in range(n):
+            for ib in range(n):
+                if ia == ib:
+                    continue
+                a, b = qubits[ia], qubits[ib]
+                rest, projected, probs = _pair_projections(state, a, b)
+                want_projected, want_probs = oracles.pair_projections(state.amps, ia, ib)
+                assert rest == tuple(q for q in qubits if q not in (a, b))
+                assert projected.shape == want_projected.shape
+                assert np.array_equal(projected, want_projected), (batch, ia, ib)
+                assert np.array_equal(probs, want_probs), (batch, ia, ib)
