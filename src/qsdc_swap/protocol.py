@@ -783,31 +783,31 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
 
 def _group_table(mask: np.ndarray, template_alice: tuple[int, int], fresh: int) -> GroupTable:
     """The group table of a session whose checking groups are ``mask``."""
-    n = len(mask)
-    step, first, per_group = _slot_rule(template_alice, fresh)
-    offset = np.arange(n)
-    slots = offset[:, None] * step + (first + n * per_group)
+    index = np.arange(1, len(mask) + 1)
+    step, base = _slot_rule(template_alice, fresh, len(mask))
+    slots = index[:, None] * step + base
     role = np.where(mask, _CHECKING_ROLE, _ENCODING_ROLE)
-    return GroupTable(offset + 1, slots[:, :2], slots[:, 2:], role)
+    return GroupTable(index, slots[:, :2], slots[:, 2:], role)
 
 
-@lru_cache(maxsize=None)
-def _slot_rule(template_alice: tuple[int, int], fresh: int) -> tuple[np.ndarray, ...]:
-    """(step, first, per_group) of the qubit ids in Bob's kept slots and
-    Alice's travel slots: group g's ids are ``first + G * per_group + step
-    * (g - 1)`` in a session of G groups.
+@lru_cache(maxsize=64)
+def _slot_rule(
+    template_alice: tuple[int, int], fresh: int, n_groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(step, base) of the qubit ids in Bob's kept slots and Alice's travel
+    slots: group g's ids are ``base + step * g``.
 
     Bob keeps 4g-3 and 4g-1 of group g.  Its travel slots hold its own
     copies of the template's travel qubits: template id q <= 4 is group
     g's ``4(g-1) + q``, and Eve's ids, ``fresh`` per group, follow the 4G
     honest ones in group order, as one-at-a-time allocation hands them out.
     """
-    rule = [(4, 1, 0), (4, 3, 0)]
-    rule += [(4, q, 0) if q <= 4 else (fresh, q - 4, 4) for q in template_alice]
-    columns = tuple(np.array(column) for column in zip(*rule))
-    for column in columns:
-        column.flags.writeable = False
-    return columns
+    rule = [(4, 1), (4, 3)]
+    rule += [(4, q) if q <= 4 else (fresh, 4 * n_groups + q - 4) for q in template_alice]
+    step, first = (np.array(column) for column in zip(*rule))
+    base = first - step
+    step.flags.writeable = base.flags.writeable = False
+    return step, base
 
 
 def _no_records() -> tuple[CheckingRecords, EncodingRecords]:

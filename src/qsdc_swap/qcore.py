@@ -201,7 +201,8 @@ def _unit_norm(
     amps: np.ndarray, message: str = "operation broke normalization: norm squared {}"
 ) -> np.ndarray:
     """Check every state's norm; ``message`` formats the worst norm squared."""
-    norms = np.einsum("...i,...i->...", amps.conj(), amps).real
+    # Squares of the real and imaginary parts, summed per state.
+    norms = np.add.reduce(np.square(np.ascontiguousarray(amps).view(np.float64)), axis=-1)
     off = np.abs(norms - 1.0)
     # ``not <=`` also fails a NaN norm, which every ``>`` test lets through.
     if not off.max(initial=0.0) <= NORM_TOL:
@@ -531,8 +532,9 @@ def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:
     hit = (uniforms[:, None] < np.add.accumulate(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
     chosen = hit.argmax(axis=-1)
     # The ufuncs' own reductions, without ndarray.any's Python wrapper.
-    missed = ~np.logical_or.reduce(hit, axis=-1)
-    if np.logical_or.reduce(missed):  # only these rows take the likeliest
+    found = np.logical_or.reduce(hit, axis=-1)
+    if not np.logical_and.reduce(found):  # only rows without a hit take the likeliest
+        missed = ~found
         chosen[missed] = (probs[missed] if probs.ndim > 1 else probs).argmax(axis=-1)
     return chosen
 
