@@ -11,7 +11,6 @@ from .bellmap import (
     decode_op,
     invert_encoding,
     is_correlated,
-    op_for_bits,
     swap_decompose,
 )
 from .protocol import (
@@ -25,7 +24,6 @@ from .protocol import (
     Verdict,
     decode_message,
     partition_groups,
-    prepare_session,
     run_session,
 )
 from .qcore import (
@@ -37,7 +35,6 @@ from .qcore import (
     apply_single,
     bell_branches,
     compose,
-    equal_up_to_phase,
     make_bell,
     make_rng,
     overlap,

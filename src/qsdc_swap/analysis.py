@@ -52,6 +52,7 @@ from .protocol import (
     UNIFORM_POLICY,
     Verdict,
     check_passes,
+    policy_weights,
     prepare_registers,
 )
 from .qcore import BELL_KINDS, BellKind
@@ -364,11 +365,6 @@ def honest_fidelity(
 # ---------------------------------------------------------------------------
 
 
-def _policy_items(policy: Mapping[EncodingOp, float] | None) -> list[tuple[EncodingOp, float]]:
-    policy = UNIFORM_POLICY if policy is None else policy
-    return [(op, w) for op in ENCODING_OPS for w in (policy.get(op, 0.0),) if w > 0.0]
-
-
 def detection_from_swap_algebra(
     strategy: AttackStrategy,
     predicate: DetectionPredicate = DetectionPredicate.ANNOUNCED_OP,
@@ -379,8 +375,11 @@ def detection_from_swap_algebra(
     encoding tables alone; second, amplitude-free route for cross-checks."""
     first = encode_target is EncodeTarget.FIRST_TRAVEL_PHOTON
     base = swap_decompose(_PSI, _PSI)
+    weights = policy_weights(UNIFORM_POLICY if policy is None else policy)
     total = 0.0
-    for op, w in _policy_items(policy):
+    for op, w in zip(ENCODING_OPS, weights):
+        if not w:
+            continue
         joint: list[tuple[tuple[BellKind, BellKind], float]] = []
         if strategy is AttackStrategy.NONE:
             k12 = apply_encoding(op, _PSI) if first else _PSI

@@ -10,7 +10,6 @@ support alone: measurement statistics depend on squared magnitudes.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
@@ -65,8 +64,6 @@ _OP_MATRIX = {
     EncodingOp.U3: qcore.U3,
 }
 
-_BITS_OP = {op.bits: op for op in ENCODING_OPS}
-
 # The coding matrices stacked in ENCODING_OPS order, so that an int array
 # of drawn op indices selects one matrix per trial.
 OP_MATRICES = np.stack([_OP_MATRIX[op] for op in ENCODING_OPS])
@@ -81,14 +78,6 @@ _KIND_LABEL = {
     BellKind.PSI_MINUS: (1, 1),
 }
 _LABEL_KIND = {label: kind for kind, label in _KIND_LABEL.items()}
-
-
-def op_for_bits(bits: str) -> EncodingOp:
-    """Coding op for a two-bit word."""
-    try:
-        return _BITS_OP[bits]
-    except KeyError:
-        raise ValueError(f"no coding op for word {bits!r}") from None
 
 
 def kind_label(kind: BellKind) -> tuple[int, int]:
@@ -158,31 +147,22 @@ def apply_encoding(op: EncodingOp, kind: BellKind) -> BellKind:
     return result
 
 
-def invert_encoding(
-    before: BellKind | np.ndarray, after: BellKind | np.ndarray
-) -> EncodingOp | np.ndarray:
-    """The unique op carrying ``before`` onto ``after``.
-
-    Batched outcomes, int arrays indexing BELL_KINDS, give one op per
-    trial as an int array indexing ENCODING_OPS.
-    """
-    if isinstance(before, BellKind):
-        for op in ENCODING_OPS:
-            if apply_encoding(op, before) is after:
-                return op
-        raise AssertionError(f"no coding op maps {before} to {after}")
+def invert_encoding(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """The unique op carrying each ``before`` kind onto the ``after`` kind:
+    int arrays indexing BELL_KINDS in, an int array indexing ENCODING_OPS
+    out, one op per trial."""
     return _inversion_table()[before, after]
 
 
 @lru_cache(maxsize=None)
 def _inversion_table() -> np.ndarray:
     """invert_encoding as an int array indexed [before, after]."""
-    table = np.array(
-        [
-            [ENCODING_OPS.index(invert_encoding(before, after)) for after in BELL_KINDS]
-            for before in BELL_KINDS
-        ]
-    )
+    table = np.full((4, 4), -1)
+    for i, op in enumerate(ENCODING_OPS):
+        for b, before in enumerate(BELL_KINDS):
+            table[b, BELL_KINDS.index(apply_encoding(op, before))] = i
+    if (table < 0).any():
+        raise AssertionError("the coding ops do not carry each kind onto every kind")
     table.flags.writeable = False
     return table
 
@@ -246,23 +226,3 @@ def _decode_map() -> Mapping[tuple[BellKind, BellKind], EncodingOp]:
 def decode_op(bob: BellKind, alice: BellKind) -> EncodingOp:
     """The unique op whose column contains the joint outcome."""
     return _decode_map()[(bob, alice)]
-
-
-def correlation_rows() -> list[tuple[str, str, str, str]]:
-    """Flat (op, bits, bob, alice) listing of the correlation table."""
-    rows = []
-    for op in ENCODING_OPS:
-        for bob, alice in sorted(
-            correlation_table()[op], key=lambda p: (p[0].value, p[1].value)
-        ):
-            rows.append((op.value, op.bits, bob.value, alice.value))
-    return rows
-
-
-def correlation_csv() -> str:
-    """CSV export of the correlation table for documentation."""
-    out = io.StringIO()
-    out.write("op,bits,bob_outcome,alice_outcome\n")
-    for row in correlation_rows():
-        out.write(",".join(row) + "\n")
-    return out.getvalue()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from . import analysis, protocol, qcore
 from .adversary import AttackStrategy
@@ -34,14 +35,6 @@ MODE_KEYS = {
 def text_to_bits(text: str) -> str:
     """UTF-8 bytes of ``text`` as a 0/1 string."""
     return "".join(format(byte, "08b") for byte in text.encode("utf-8"))
-
-
-def bits_to_text(bits: str) -> str:
-    """Inverse of text_to_bits; the bit count must be a byte multiple."""
-    if len(bits) % 8:
-        raise ValueError("bit string length is not a multiple of 8")
-    data = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-    return data.decode("utf-8")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,6 +116,17 @@ def emit_report(report: dict | str, fmt: str, path: str) -> None:
         fh.write(payload)
 
 
+def _write_report(cfg: dict, report: dict, csv: Callable[[], str] | None = None) -> None:
+    """Write ``report`` to ``--out``, if given: as JSON, or as the text
+    ``csv()`` returns under ``--format csv``."""
+    if not cfg["out"]:
+        return
+    if cfg["format"] == "csv":
+        emit_report(csv(), "csv", cfg["out"])
+    else:
+        emit_report(report, "json", cfg["out"])
+
+
 def _transcript_csv(transcript: SessionTranscript) -> str:
     lines = ["phase,group,op,alice,bob,passed,word"]
     for group, op, alice, bob, passed in transcript.checking.rows():
@@ -139,15 +143,14 @@ def _run_identities(cfg: dict) -> int:
         status = "PASS" if check.passed else "FAIL"
         print(f"{status} {check.name} (max error {check.max_error:.3g})")
     failed = [c for c in checks if not c.passed]
-    if cfg["out"]:
-        doc = {
-            "mode": "identities",
-            "checks": [
-                {"name": c.name, "passed": c.passed, "max_error": c.max_error}
-                for c in checks
-            ],
-        }
-        emit_report(doc, "json", cfg["out"])
+    doc = {
+        "mode": "identities",
+        "checks": [
+            {"name": c.name, "passed": c.passed, "max_error": c.max_error}
+            for c in checks
+        ],
+    }
+    _write_report(cfg, doc)
     if failed:
         print(f"{len(failed)} identity check(s) failed")
         return 1
@@ -190,11 +193,7 @@ def _run_session(cfg: dict, parser: argparse.ArgumentParser) -> int:
         print(f"decoded bits: {doc['decoded_bits']}")
         if bits:
             print(f"message intact: {doc['decoded_bits'] == bits}")
-    if cfg["out"]:
-        if (cfg["format"] or "json") == "csv":
-            emit_report(_transcript_csv(transcript), "csv", cfg["out"])
-        else:
-            emit_report(doc, "json", cfg["out"])
+    _write_report(cfg, doc, lambda: _transcript_csv(transcript))
     return 0
 
 
@@ -241,13 +240,7 @@ def _run_detect(cfg: dict, parser: argparse.ArgumentParser) -> int:
         print(f"p_mc={doc['p_mc']:.6g} +/- {doc['ci']:.2g} ({doc['trials']} trials)")
     if doc["paper_claim"] is not None:
         print(f"claimed: {doc['paper_claim']} ({doc['claim_note']})")
-    if cfg["out"]:
-        if (cfg["format"] or "json") == "csv":
-            emit_report(
-                analysis.sweep_csv({"rows": [doc]}), "csv", cfg["out"]
-            )
-        else:
-            emit_report(doc, "json", cfg["out"])
+    _write_report(cfg, doc, lambda: analysis.sweep_csv({"rows": [doc]}))
     return 0
 
 
@@ -261,8 +254,7 @@ def _run_leakage(cfg: dict, parser: argparse.ArgumentParser) -> int:
     )
     if doc["paper_claim"] is not None:
         print(f"claimed: {doc['paper_claim']}")
-    if cfg["out"]:
-        emit_report(doc, "json", cfg["out"])
+    _write_report(cfg, doc)
     return 0
 
 
@@ -284,11 +276,7 @@ def _run_sweep(cfg: dict, parser: argparse.ArgumentParser) -> int:
             f"{row['p_algebra']:>9.4f} {mc:>8} {row['eve_guess_accuracy']:>6.3f} "
             f"{claim:>6}"
         )
-    if cfg["out"]:
-        if (cfg["format"] or "json") == "csv":
-            emit_report(analysis.sweep_csv(report), "csv", cfg["out"])
-        else:
-            emit_report(report, "json", cfg["out"])
+    _write_report(cfg, report, lambda: analysis.sweep_csv(report))
     return 0
 
 

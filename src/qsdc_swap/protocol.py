@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum, unique
 from functools import lru_cache
 from itertools import chain
@@ -103,9 +103,10 @@ def single_op_policy(op: EncodingOp) -> Mapping[EncodingOp, float]:
     return MappingProxyType({op: 1.0})
 
 
-def check_policy(policy: Mapping[EncodingOp, float]) -> None:
-    """Reject a checking-op policy that is not a probability distribution
-    over ``EncodingOp`` members."""
+def policy_weights(policy: Mapping[EncodingOp, float]) -> list[float]:
+    """The weights of a checking-op policy in ENCODING_OPS order; a
+    ValueError unless it is a probability distribution over ``EncodingOp``
+    members."""
     for key in policy:
         if not isinstance(key, EncodingOp):
             raise ValueError(
@@ -115,6 +116,7 @@ def check_policy(policy: Mapping[EncodingOp, float]) -> None:
     # A NaN weight fails 0 <= w; without that test it would pass the sum test.
     if not all(0 <= w < math.inf for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("checking op policy must be a probability distribution")
+    return [policy.get(op, 0.0) for op in ENCODING_OPS]
 
 
 def draw_op(
@@ -122,10 +124,7 @@ def draw_op(
 ) -> np.ndarray:
     """The op drawn from ``policy`` through the outcome hook ``qcore.choose``,
     as an int array indexing ENCODING_OPS, one op per batch row."""
-    weights = [policy.get(op, 0.0) for op in ENCODING_OPS]
-    if max(weights) <= 0.0:
-        raise ValueError("op policy has no positive weight")
-    return qcore.choose(rng, weights)
+    return qcore.choose(rng, policy_weights(policy))
 
 
 @dataclass
@@ -139,7 +138,6 @@ class Group:
     index: int
     bob_qubits: tuple[int, int]
     alice_qubits: tuple[int, int]
-    role: GroupRole | None = None
 
     def travel_photon(self, target: EncodeTarget) -> int:
         if target is EncodeTarget.FIRST_TRAVEL_PHOTON:
@@ -178,7 +176,7 @@ class SessionConfig:
                 f"message of {len(self.message_bits)} bits does not match "
                 f"capacity {self.capacity}"
             )
-        check_policy(self.checking_op_policy)
+        policy_weights(self.checking_op_policy)
 
     @property
     def n_encoding(self) -> int:
@@ -315,28 +313,12 @@ class Register:
             out.append((branch.prob, reg, branch.kind))
         return out
 
-    def compose_all(self) -> StateVector:
-        """Single tensor over every factor (subject to the qubit cap)."""
-        factors = sorted(self._factors.values(), key=lambda sv: min(sv.qubits))
-        if not factors:
-            raise ValueError("register is empty")
-        total = factors[0]
-        for sv in factors[1:]:
-            total = qcore.compose(total, sv)
-        return total
-
 
 def build_groups(n_groups: int) -> list[Group]:
     """Photon layout: group g keeps (4g-3, 4g-1), travels (4g-2, 4g)."""
     return [
         Group(g + 1, (4 * g + 1, 4 * g + 3), (4 * g + 2, 4 * g + 4)) for g in range(n_groups)
     ]
-
-
-def prepare_session(cfg: SessionConfig) -> tuple[StateVector, list[Group]]:
-    """Global initial state (tensor of plus-type pairs) plus the group map."""
-    register, groups = prepare_registers(cfg)
-    return register.compose_all(), groups
 
 
 def prepare_registers(cfg: SessionConfig) -> tuple[Register, list[Group]]:
@@ -357,16 +339,7 @@ def _prepared_pairs(n_groups: int) -> Register:
     )
 
 
-def partition_groups(
-    groups: Sequence[Group], n_checking: int, rng: np.random.Generator
-) -> list[Group]:
-    """Assign roles: ``n_checking`` groups drawn uniformly become checking."""
-    checking = _checking_mask(len(groups), n_checking, rng).tolist()
-    roles = [GroupRole.CHECKING if chosen else GroupRole.ENCODING for chosen in checking]
-    return [replace(g, role=role) for g, role in zip(groups, roles)]
-
-
-def _checking_mask(n_groups: int, n_checking: int, rng: np.random.Generator) -> np.ndarray:
+def partition_groups(n_groups: int, n_checking: int, rng: np.random.Generator) -> np.ndarray:
     """True for the ``n_checking`` of ``n_groups`` groups that one
     ``rng.permutation`` draw makes checking."""
     if not 0 <= n_checking <= n_groups:
@@ -734,7 +707,7 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
         qcore.Uniforms(rng.random((n, draws))),
         adversary.EveMemory(strategy=strategy),
     )
-    mask = _checking_mask(n, cfg.n_checking, rng)
+    mask = partition_groups(n, cfg.n_checking, rng)
     groups = _group_table(mask, template.alice_qubits, fresh)
     k = cfg.n_checking
     # The groups of each role in index order.

@@ -237,11 +237,9 @@ make_bell.cache_info = _bell_state.cache_info
 
 
 @lru_cache(maxsize=None)
-def single_qubit(q: int, bit: int = 0) -> StateVector:
-    """Fresh qubit prepared in |0> or |1>."""
-    amps = np.zeros(2, dtype=complex)
-    amps[bit] = 1.0
-    return StateVector((int(q),), amps)
+def single_qubit(q: int) -> StateVector:
+    """Fresh qubit prepared in |0>."""
+    return StateVector((int(q),), np.array([1.0, 0.0], dtype=complex))
 
 
 def compose(s1: StateVector, s2: StateVector) -> StateVector:
@@ -409,18 +407,13 @@ def overlap(s1: StateVector, s2: StateVector) -> complex:
     return complex(np.vdot(s1.amps, aligned))
 
 
-def equal_up_to_phase(s1: StateVector, s2: StateVector, tol: float = NORM_TOL) -> bool:
-    """True iff the states agree up to a global phase."""
-    return abs(overlap(s1, s2)) >= 1.0 - tol
-
-
-def classify_bell(state: StateVector, tol: float = NORM_TOL) -> BellKind | None:
+def classify_bell(state: StateVector) -> BellKind | None:
     """Bell kind of a two-qubit state, or None if it is not one."""
     if state.n != 2:
         raise QubitError(f"classification needs exactly 2 qubits, got {state.n}")
     for kind in BELL_KINDS:
         reference = make_bell(kind, *state.qubits)
-        if abs(overlap(reference, state)) >= 1.0 - tol:
+        if abs(overlap(reference, state)) >= 1.0 - NORM_TOL:
             return kind
     return None
 

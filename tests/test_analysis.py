@@ -539,6 +539,26 @@ def test_monte_carlo_rejects_policy_keyed_by_name():
         monte_carlo(AttackStrategy.NONE, 10, seed=0, policy={"u0": 1.0})
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [{"u0": 1.0}, {EncodingOp.U1: 5.0}, {EncodingOp.U1: math.nan, EncodingOp.U0: 1.0}],
+)
+def test_every_route_rejects_what_a_session_rejects(policy):
+    strategy = AttackStrategy.INTERCEPT_MEASURE_RESEND
+    routes = (
+        lambda: SessionConfig(1, 1, checking_op_policy=policy),
+        lambda: exact_detection(strategy, policy=policy),
+        lambda: detection_from_swap_algebra(strategy, policy=policy),
+        lambda: monte_carlo(strategy, 10, 0, policy=policy),
+    )
+    messages = set()
+    for route in routes:
+        with pytest.raises(ValueError) as raised:
+            route()
+        messages.add(str(raised.value))
+    assert len(messages) == 1
+
+
 def test_sweep_enumerates_each_strategy_once(monkeypatch):
     enumerated = []
 

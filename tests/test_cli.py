@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qsdc_swap.cli import bits_to_text, main, text_to_bits
+from qsdc_swap.cli import main, text_to_bits
 
 
 def run_cli(*argv):
@@ -15,12 +15,9 @@ def read_bytes(path):
         return fh.read()
 
 
-def test_text_bits_round_trip():
-    bits = text_to_bits("hi")
-    assert len(bits) == 16
-    assert bits_to_text(bits) == "hi"
-    with pytest.raises(ValueError):
-        bits_to_text("010")
+def test_text_to_bits_is_utf8():
+    assert text_to_bits("hi") == "0110100001101001"
+    assert text_to_bits("\u00e9") == "1100001110101001"  # UTF-8 C3 A9
 
 
 def test_identities_mode_exits_zero(capsys):

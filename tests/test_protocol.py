@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qsdc_swap.adversary import AttackStrategy
+from qsdc_swap.adversary import AttackStrategy, attack_footprint
 from qsdc_swap.analysis import monte_carlo
 from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp
 from qsdc_swap.protocol import (
@@ -18,6 +18,7 @@ from qsdc_swap.protocol import (
     EncodeTarget,
     Group,
     GroupRole,
+    ROLES,
     Register,
     SessionConfig,
     UNIFORM_POLICY,
@@ -27,11 +28,10 @@ from qsdc_swap.protocol import (
     check_passes,
     decode_message,
     partition_groups,
+    policy_weights,
     prepare_registers,
-    prepare_session,
     run_checking,
     run_encoding,
-    check_policy,
     draw_op,
     run_session,
     single_op_policy,
@@ -43,7 +43,6 @@ from qsdc_swap.qcore import (
     TrialStreams,
     make_bell,
     make_rng,
-    overlap,
 )
 
 KIND = {k.value: k for k in BELL_KINDS}
@@ -55,57 +54,61 @@ def cfg(n_groups, n_checking, bits="", **kw):
     )
 
 
-def test_prepare_session_single_group_layout():
-    state, groups = prepare_session(cfg(1, 1))
+def test_prepare_registers_single_group_layout():
+    register, groups = prepare_registers(cfg(1, 1))
     assert groups == [Group(index=1, bob_qubits=(1, 3), alice_qubits=(2, 4))]
-    expected = oracles.bell_product(
-        [("psi+", 1, 2), ("psi+", 3, 4)], [1, 2, 3, 4]
-    )
-    np.testing.assert_allclose(state.amps, expected, atol=1e-12)
+    for pair in ((1, 2), (3, 4)):
+        expected = oracles.bell_product([("psi+", *pair)], list(pair))
+        np.testing.assert_allclose(register.factor_state(*pair).amps, expected, atol=1e-12)
 
 
-def test_prepare_session_travel_string_order():
-    _, groups = prepare_session(cfg(2, 0, bits="0000"))
+def test_build_groups_travel_string_order():
+    groups = build_groups(2)
     travel = [q for g in groups for q in g.alice_qubits]
     assert travel == [2, 4, 6, 8]
     assert groups[1].bob_qubits == (5, 7)
 
 
-def test_prepare_session_norm():
-    for n in (1, 2, 3):
-        state, _ = prepare_session(cfg(n, n))
-        assert abs(np.vdot(state.amps, state.amps).real - 1.0) < 1e-9
-
-
 def test_partition_extremes():
-    groups = build_groups(3)
     rng = make_rng(0)
-    all_checking = partition_groups(groups, 3, rng)
-    assert all(g.role is GroupRole.CHECKING for g in all_checking)
-    none_checking = partition_groups(groups, 0, rng)
-    assert all(g.role is GroupRole.ENCODING for g in none_checking)
+    assert partition_groups(3, 3, rng).tolist() == [True, True, True]
+    assert partition_groups(3, 0, rng).tolist() == [False, False, False]
     with pytest.raises(ValueError):
-        partition_groups(groups, 4, rng)
+        partition_groups(3, 4, rng)
 
 
 def test_partition_uniform_frequencies():
-    groups = build_groups(4)
-    counts = {g.index: 0 for g in groups}
+    counts = np.zeros(4)
     draws = 10_000
     rng = make_rng(123)
     for _ in range(draws):
-        for g in partition_groups(groups, 2, rng):
-            if g.role is GroupRole.CHECKING:
-                counts[g.index] += 1
-    for index in counts:
-        assert abs(counts[index] / draws - 0.5) < 0.02
+        counts += partition_groups(4, 2, rng)
+    assert (abs(counts / draws - 0.5) < 0.02).all()
 
 
 def test_partition_preserves_order_and_originals():
-    groups = build_groups(3)
-    assigned = partition_groups(groups, 1, make_rng(5))
-    assert [g.index for g in assigned] == [1, 2, 3]
-    assert all(g.role is None for g in groups)
+    # Entry i is group i + 1's role, picked by one permutation draw, and
+    # the generator is left as that one draw leaves it.
+    rng, reference = make_rng(5), make_rng(5)
+    mask = partition_groups(3, 1, rng)
+    chosen = reference.permutation(3)[:1].tolist()
+    assert mask.tolist() == [i in chosen for i in range(3)]
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("n_groups", [1, 4, 33])
+@pytest.mark.parametrize("strategy", list(AttackStrategy))
+def test_session_roles_are_the_partition(strategy, n_groups):
+    # README, Determinism: the partition is drawn right after the attack's
+    # (n_groups, draws) block.
+    n_checking = max(1, n_groups // 3)
+    bits = "01" * (n_groups - n_checking)
+    config = cfg(n_groups, n_checking, bits=bits, seed=1000 + n_groups)
+    rng = make_rng(config.seed)
+    rng.random((n_groups, attack_footprint(strategy)[0]))
+    mask = partition_groups(n_groups, n_checking, rng)
+    roles = [ROLES[r] for r in run_session(config, strategy).groups.role.tolist()]
+    assert roles == [GroupRole.CHECKING if m else GroupRole.ENCODING for m in mask.tolist()]
 
 
 def test_run_checking_honest_always_passes():
@@ -136,6 +139,12 @@ def test_run_encoding_length_mismatch():
     register, groups = prepare_registers(cfg(2, 0, bits="0000"))
     with pytest.raises(ValueError):
         run_encoding(register, groups, "00", TrialStreams(0, 1, 2))
+
+
+def test_run_encoding_rejects_a_word_without_op():
+    register, groups = prepare_registers(cfg(2, 0, bits="0000"))
+    with pytest.raises(ValueError, match="no coding op for word '02'"):
+        run_encoding(register, groups, "0102", TrialStreams(0, 1, 2))
 
 
 def test_decode_message_examples():
@@ -353,13 +362,6 @@ def test_register_add_names_clashing_qubits():
     assert register.qubits == frozenset({1, 2, 3, 4})
 
 
-def test_register_compose_all_matches_prepare_session():
-    config = cfg(2, 2)
-    state, _ = prepare_session(config)
-    register, _ = prepare_registers(config)
-    assert abs(overlap(state, register.compose_all()) - 1.0) < 1e-9
-
-
 def test_register_enumerate_bell_leaves_parent_usable():
     register = Register(
         [make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 3, 4)]
@@ -388,7 +390,7 @@ def test_register_touched_audit():
 )
 def test_policy_keys_must_be_encoding_ops(policy):
     with pytest.raises(ValueError, match="EncodingOp"):
-        check_policy(policy)
+        policy_weights(policy)
     with pytest.raises(ValueError, match="EncodingOp"):
         cfg(1, 1, checking_op_policy=policy)
 
@@ -403,7 +405,7 @@ def test_policy_keys_must_be_encoding_ops(policy):
 )
 def test_policy_rejects_nan_weights(policy):
     with pytest.raises(ValueError, match="probability distribution"):
-        check_policy(policy)
+        policy_weights(policy)
     with pytest.raises(ValueError, match="probability distribution"):
         cfg(1, 1, checking_op_policy=policy)
     with pytest.raises(ValueError, match="probability distribution"):
@@ -411,7 +413,7 @@ def test_policy_rejects_nan_weights(policy):
 
 
 def test_policy_must_be_a_distribution():
-    check_policy(single_op_policy(EncodingOp.U3))
+    assert policy_weights(single_op_policy(EncodingOp.U3)) == [0.0, 0.0, 0.0, 1.0]
     for policy in ({EncodingOp.U0: 0.5}, {EncodingOp.U0: 1.5, EncodingOp.U1: -0.5}):
         with pytest.raises(ValueError, match="probability distribution"):
             cfg(1, 1, checking_op_policy=policy)

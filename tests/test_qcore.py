@@ -22,7 +22,6 @@ from qsdc_swap.qcore import (
     bell_branches,
     classify_bell,
     compose,
-    equal_up_to_phase,
     make_bell,
     TrialStreams,
     Uniforms,
@@ -134,7 +133,7 @@ def test_apply_single_either_photon_same_kind(op_name, image):
     exp_second = oracles.apply_u(oracles.BELL_VEC["psi+"], 2, 1, oracles.U_MAT[op_name])
     np.testing.assert_allclose(on_first.amps, exp_first, atol=1e-12)
     np.testing.assert_allclose(on_second.amps, exp_second, atol=1e-12)
-    assert equal_up_to_phase(on_first, on_second)
+    assert abs(abs(overlap(on_first, on_second)) - 1.0) < 1e-12
     assert classify_bell(on_first) is KIND[image]
 
 
@@ -245,16 +244,9 @@ def test_sampling_matches_branch_probabilities_chi_square():
     assert chi2 < 16.27  # 0.1% critical value at 3 dof
 
 
-def test_equal_up_to_phase_cases():
-    psi_minus = make_bell(BellKind.PSI_MINUS, 1, 2)
-    negated = from_oracle((1, 2), -psi_minus.amps)
-    assert equal_up_to_phase(psi_minus, negated)
-    assert not equal_up_to_phase(psi_minus, make_bell(BellKind.PSI_PLUS, 1, 2))
-
-
-def test_equal_up_to_phase_mismatched_sets():
+def test_overlap_mismatched_sets():
     with pytest.raises(QubitError):
-        equal_up_to_phase(make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 1, 3))
+        overlap(make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 1, 3))
 
 
 def test_overlap_aligns_qubit_order():
@@ -270,9 +262,6 @@ def test_overlap_aligns_qubit_order():
         overlap(make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 2, 1))
         - 1.0
     ) < 1e-12
-    assert equal_up_to_phase(
-        make_bell(BellKind.PSI_MINUS, 1, 2), make_bell(BellKind.PSI_MINUS, 2, 1)
-    )
 
 
 def test_amps_are_read_only():
