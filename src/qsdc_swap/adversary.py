@@ -125,7 +125,7 @@ def apply_attack(
                 kind = register.measure_bell(a1, a2, rng)
                 memory.ancilla_outcomes[g.index] = kind
                 corrected = qcore.kind_in(kind, CORRECTION_TRIGGER)
-                register.apply_single(t1, CORRECTIVE_OP.matrix, where=corrected)
+                register.apply_single(t1, np.stack((qcore.U0, CORRECTIVE_OP.matrix)), corrected)
                 memory.corrections[g.index] = corrected
         else:
             raise ValueError(f"unhandled strategy {strategy}")

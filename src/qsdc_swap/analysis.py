@@ -51,6 +51,7 @@ from .protocol import (
     SessionConfig,
     UNIFORM_POLICY,
     Verdict,
+    check_member,
     check_passes,
     policy_weights,
     prepare_registers,
@@ -373,7 +374,8 @@ def detection_from_swap_algebra(
 ) -> float:
     """Per-group detection probability computed from the cached swap and
     encoding tables alone; second, amplitude-free route for cross-checks."""
-    first = encode_target is EncodeTarget.FIRST_TRAVEL_PHOTON
+    check_member(DetectionPredicate, predicate)
+    first = check_member(EncodeTarget, encode_target) is EncodeTarget.FIRST_TRAVEL_PHOTON
     base = swap_decompose(_PSI, _PSI)
     weights = policy_weights(UNIFORM_POLICY if policy is None else policy)
     total = 0.0

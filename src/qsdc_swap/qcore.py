@@ -64,6 +64,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -347,14 +348,20 @@ def bell_branches(state: StateVector, a: int, b: int) -> list[Branch]:
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"projection probabilities sum to {total}")
-    branches = []
-    for kind, vec, p in zip(BELL_KINDS, projected, probs):
-        p = float(p)
-        if p < MIN_BRANCH_PROB:
-            continue
-        collapsed = _trusted(rest, vec / math.sqrt(p))
-        branches.append(Branch(prob=p, state=collapsed, kind=kind))
-    return branches
+    keep = probs >= MIN_BRANCH_PROB
+    collapsed = _collapse(rest, projected[keep], probs[keep]).amps
+    return [
+        Branch(prob=p, state=_trusted(rest, vec), kind=kind)
+        for kind, vec, p in zip(compress(BELL_KINDS, keep), collapsed, probs[keep].tolist())
+    ]
+
+
+def _collapse(rest: tuple[int, ...], vecs: np.ndarray, p: np.ndarray) -> StateVector:
+    """The batch of collapsed states on ``rest``: each of the chosen
+    projected vectors ``vecs``, a fresh (B, rest) array, divided in place by
+    the square root of its probability (module docstring, Arithmetic)."""
+    vecs /= np.sqrt(p)[:, None]
+    return _trusted(rest, vecs)
 
 
 def choose(rng, probs) -> np.ndarray:
@@ -386,8 +393,7 @@ def sample_bell(
     else:
         rows = np.arange(len(chosen))
         vecs, p = projected[rows, chosen], probs[rows, chosen]
-    vecs /= np.sqrt(p)[:, None]
-    return chosen, _trusted(rest, vecs)
+    return chosen, _collapse(rest, vecs, p)
 
 
 def kind_in(kind: np.ndarray, kinds) -> np.ndarray:

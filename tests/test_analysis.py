@@ -32,10 +32,13 @@ from qsdc_swap.protocol import (
     EncodeTarget,
     SessionConfig,
     Verdict,
+    check_passes,
+    prepare_registers,
+    run_checking,
     run_session,
     single_op_policy,
 )
-from qsdc_swap.qcore import BELL_KINDS
+from qsdc_swap.qcore import BELL_KINDS, TrialStreams
 
 STRATEGIES = list(AttackStrategy)
 PREDICATES = list(DetectionPredicate)
@@ -557,6 +560,30 @@ def test_every_route_rejects_what_a_session_rejects(policy):
             route()
         messages.add(str(raised.value))
     assert len(messages) == 1
+
+
+_NONE = AttackStrategy.NONE
+_BY_VALUE = {
+    "SessionConfig predicate": lambda: SessionConfig(4, 4, seed=3, predicate="announced-op"),
+    "SessionConfig target": lambda: SessionConfig(4, 4, seed=3, encode_target="first"),
+    "check_passes": lambda: check_passes("announced-op", EncodingOp.U0, 2, 2),
+    "run_checking target": lambda: run_checking(
+        *prepare_registers(SessionConfig(1, 1)), TrialStreams(0, 0, 1), encode_target="first"
+    ),
+    "exact_detection predicate": lambda: exact_detection(_NONE, "announced-op"),
+    "exact_detection target": lambda: exact_detection(_NONE, encode_target="first"),
+    "algebra predicate": lambda: detection_from_swap_algebra(_NONE, "announced-op"),
+    "algebra target": lambda: detection_from_swap_algebra(_NONE, encode_target="first"),
+}
+
+
+@pytest.mark.parametrize("route", _BY_VALUE.values(), ids=_BY_VALUE.keys())
+def test_predicates_and_targets_by_value_are_rejected(route):
+    """A member's string value is not the member: taken as one, it scored
+    honest sessions as detected (``exact_detection`` and the algebra route
+    returned 0.75 for ``"announced-op"`` on an honest channel)."""
+    with pytest.raises(ValueError, match="member, got '"):
+        route()
 
 
 def test_sweep_enumerates_each_strategy_once(monkeypatch):

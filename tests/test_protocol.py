@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qsdc_swap import protocol, qcore
 from qsdc_swap.adversary import AttackStrategy, attack_footprint
 from qsdc_swap.analysis import monte_carlo
-from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp
+from qsdc_swap.bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp
 from qsdc_swap.protocol import (
     DetectionPredicate,
     EncodeTarget,
@@ -447,19 +449,95 @@ def test_register_take_selects_rows_and_shares_single_states():
     assert taken.allocate(1) == register.allocate(1) == (5,)
 
 
-def test_register_apply_single_where_mask():
+def test_register_apply_single_codes_pick_ops_per_row():
     plus = make_bell(BellKind.PSI_PLUS, 1, 2)
     minus = make_bell(BellKind.PSI_MINUS, 1, 2)
     register = Register([plus])
-    register.apply_single(2, EncodingOp.U1.matrix, where=np.array([True, False]))
+    table = np.stack((EncodingOp.U1.matrix, EncodingOp.U0.matrix))
+    register.apply_single(2, table, np.array([0, 1]))
     amps = register.factor_state(1, 2).amps
     assert abs(abs(np.vdot(minus.amps, amps[0])) - 1.0) < 1e-12
     np.testing.assert_allclose(amps[1], plus.amps, atol=1e-15)
-    # without a mask every row takes the op
+    # without codes every row takes the op
     register.apply_single(2, EncodingOp.U1.matrix)
     amps = register.factor_state(1, 2).amps
     assert abs(abs(np.vdot(plus.amps, amps[0])) - 1.0) < 1e-12
     assert abs(abs(np.vdot(minus.amps, amps[1])) - 1.0) < 1e-12
+
+
+def _indexed_round(monkeypatch, ratio: int) -> tuple[list, dict, list]:
+    """4096 rows through every way a factor gains or keeps a row index:
+    a measured single state, per-row ops on one state and on distinct
+    states, one op on distinct states, and merges of two indexed factors
+    and of an indexed factor with a single state.  Returns the outcomes,
+    each stage's per-row states as the register itself, its ``take`` and
+    its ``clone`` show them, and each stage's count of indexed factors."""
+    monkeypatch.setattr(protocol, "INDEX_RATIO", ratio)
+    rng = TrialStreams(11, 0, 4096)
+    register = Register(make_bell(BellKind.PSI_PLUS, q, q + 1) for q in (1, 3, 5, 7, 9))
+    rows = [4095, 0, 17, 17, 2048]
+    outcomes, states, indexed = [], {}, []
+
+    def snapshot(stage, qubits):
+        clone = register.clone()
+        indexed.append(len(register._rows))
+        states[stage] = [
+            register.factor_state(*qubits).amps,
+            register.take(rows).factor_state(*qubits).amps,
+            clone.factor_state(*qubits).amps,
+        ]
+        clone.measure_bell(*qubits[:2], rng)  # a clone's collapse leaves the register be
+        assert np.array_equal(register.factor_state(*qubits).amps, states[stage][0])
+
+    outcomes.append(register.measure_bell(2, 3, rng))
+    register.apply_single(4, OP_MATRICES, draw_op(UNIFORM_POLICY, rng))
+    register.apply_single(1, EncodingOp.U2.matrix)
+    outcomes.append(register.measure_bell(6, 7, rng))
+    snapshot("fanned", (1, 4))
+    register.apply_cnot(4, 8)
+    register.apply_single(5, OP_MATRICES[:2], rng.choose([0.5, 0.5]))
+    register.apply_cnot(1, 9)
+    snapshot("merged", (1, 4, 5, 8, 9, 10))
+    outcomes.append(register.measure_bell(4, 5, rng))
+    snapshot("measured", (1, 8, 9, 10))
+    return outcomes, states, indexed
+
+
+def test_indexed_register_matches_one_state_per_row(monkeypatch):
+    outcomes, states, indexed = _indexed_round(monkeypatch, protocol.INDEX_RATIO)
+    plain_outcomes, plain_states, plain_indexed = _indexed_round(monkeypatch, 1 << 40)
+    # Two fanned-out factors merge into one; the last measurement has too
+    # many candidates for 4096 rows and gathers one state per row.
+    assert indexed == [2, 1, 0] and plain_indexed == [0, 0, 0]
+    for got, want in zip(outcomes, plain_outcomes):
+        assert np.array_equal(got, want)
+    assert states.keys() == plain_states.keys()
+    for stage, views in states.items():
+        for got, want in zip(views, plain_states[stage]):
+            assert got.shape == want.shape and np.array_equal(got, want), stage
+
+
+def test_measuring_zero_probability_outcomes_warns_of_nothing():
+    """Outcomes of probability 0 are no candidates: none is divided by the
+    square root of its probability, and no row draws one."""
+    rng = TrialStreams(3, 0, 4096)
+    ancilla = qcore.apply_cnot(
+        qcore.compose(make_bell(BellKind.PSI_PLUS, 1, 2), qcore.single_qubit(5)), 2, 5
+    )
+    swapped = Register([make_bell(BellKind.PSI_PLUS, 1, 2), make_bell(BellKind.PSI_PLUS, 3, 4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # one state, whose two phi outcomes have probability 0
+        kind = Register([ancilla]).measure_bell(1, 2, rng)
+        # the swap leaves four distinct Bell pairs on (1, 4), each with
+        # three outcomes of probability 0
+        first = swapped.measure_bell(2, 3, rng)
+        assert swapped._rows
+        second = swapped.measure_bell(1, 4, rng)
+    psi = {BELL_KINDS.index(BellKind.PSI_PLUS), BELL_KINDS.index(BellKind.PSI_MINUS)}
+    assert set(kind.tolist()) == psi
+    assert set(first.tolist()) == set(range(4))
+    assert np.array_equal(second, first)
 
 
 # (n_groups, n_checking) of the frozen transcript grid: each size with no,

@@ -545,3 +545,43 @@ def test_pair_projections_are_bit_identical_to_the_oracle(n):
                 assert projected.shape == want_projected.shape
                 assert np.array_equal(projected, want_projected), (batch, ia, ib)
                 assert np.array_equal(probs, want_probs), (batch, ia, ib)
+
+
+# ---------------------------------------------------------------------------
+# row independence: a register factor computes each distinct state once
+# (protocol.Register), which is exact only if no kernel's result for a
+# state depends on where in a batch, or in how large a batch, it sits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [1, 3, 256, 4096])
+def test_kernels_are_row_independent(size):
+    rng = np.random.default_rng(size)
+    qubits = (1, 2, 3, 4, 5)
+    batch = StateVector(qubits, random_amps(rng, 5, size))
+    partners = StateVector((6, 7), random_amps(rng, 2, size))
+    ops = np.stack([U0, U1, U2, U3])
+    codes = rng.integers(0, 4, size)
+    pairs, targets = ((1, 3), (5, 2), (4, 5)), (1, 3, 5)
+    projections = {pair: _pair_projections(batch, *pair)[1:] for pair in pairs}
+    coded = {(q, i): apply_single(batch, q, op).amps for q in targets for i, op in enumerate(ops)}
+    per_row = {q: apply_single(batch, q, ops[codes]).amps for q in targets}
+    composed = compose(batch, partners).amps
+    for pos in sorted({0, size // 2, size - 1}):
+        one = StateVector(qubits, batch.amps[pos])
+        partner = StateVector((6, 7), partners.amps[pos])
+        for pair, (projected, probs) in projections.items():
+            _, want_projected, want_probs = _pair_projections(one, *pair)
+            assert np.array_equal(projected[pos], want_projected), (pos, pair)
+            assert np.array_equal(probs[pos], want_probs), (pos, pair)
+        for (q, i), amps in coded.items():
+            assert np.array_equal(amps[pos], apply_single(one, q, ops[i]).amps), (pos, q, i)
+        for q, amps in per_row.items():
+            # one matrix per row, and one state under a stack of matrices
+            want = apply_single(one, q, ops[codes[pos]]).amps
+            assert np.array_equal(amps[pos], want), (pos, q)
+            assert np.array_equal(apply_single(one, q, ops[codes]).amps[pos], want), (pos, q)
+        want = compose(one, partner).amps
+        assert np.array_equal(composed[pos], want), pos
+        assert np.array_equal(compose(one, partners).amps[pos], want), pos
+        assert np.array_equal(compose(batch, partner).amps[pos], want), pos
