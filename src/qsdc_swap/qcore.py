@@ -475,28 +475,41 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC'11) as numpy's Philox bit generator runs it: multipliers, Weyl key
-# increments, and the 53-bit conversion of ``Generator.random``.
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
-_PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
-_PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
+# 3", SC'11) as numpy's Philox bit generator runs it, bit for bit:
+# ``philox_block`` returns exactly the draws of
+# ``np.random.Philox(key=[seed, stream]).random_raw`` (tests/test_qcore.py),
+# and ``TrialStreams`` applies the 53-bit conversion of ``Generator.random``.
+#
+# A round maps the counter (c0, c1, c2, c3) under the key (k0, k1) to
+# (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)), where
+# hi and lo are the words of the 128-bit product, and the key steps by the
+# Weyl increments (W0, W1) before every round but the first.
+#
+# Lanes: the kernel holds the multiplied words as one (2, n) array
+# x = (c0, c2) and the other two as y = (c1, c3), so each ufunc of a round
+# runs once over both lanes, into preallocated buffers.  The lanes cross
+# every round: the new x is hi with its lanes swapped, ^ y ^ k, and the new
+# y is lo with its lanes swapped.  The lane constants (M0, M1) are full
+# (2, n) rows: against a broadcast (2, 1) column numpy leaves its
+# contiguous loop, and a multiply took nearly twice as long at n = 2000.
+#
+# Folded round: round 1 multiplies the scalar counter (block + 1, 0, 0, 0),
+# so it is computed on Python ints and leaves x = (seed, hi(M0 (block + 1))
+# ^ stream), y = (0, lo(M0 (block + 1))); only the XOR with the stream
+# indices is an array op.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+# Per lane: the multiplier, its high and low 32-bit halves, the increment.
+_PHILOX_LANES = np.array(
+    [_PHILOX_M, [m >> 32 for m in _PHILOX_M], [m & 0xFFFFFFFF for m in _PHILOX_M], _PHILOX_W],
+    dtype=np.uint64,
+)[:, :, None]
+# 0-d operands: numpy converts a scalar operand on every ufunc call.
+_LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SHIFT32 = np.array(32, dtype=np.uint64)
 _SHIFT53 = np.uint64(11)
 _TWO_POW_M53 = 1.0 / 9007199254740992.0
-
-
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products ``m * x``, built
-    from 32-bit halves so that no partial product overflows."""
-    mh, ml = m >> _SHIFT32, m & _LOW32
-    xh, xl = x >> _SHIFT32, x & _LOW32
-    ll, lh, hl = ml * xl, ml * xh, mh * xl
-    mid = (ll >> _SHIFT32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = mh * xh + (lh >> _SHIFT32) + (hl >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, m * x
 
 
 def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
@@ -504,24 +517,46 @@ def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
     for every ``t`` in ``streams``, as a (len(streams), 4) uint64 array.
 
     numpy's Philox increments its counter before each block, so draws
-    ``4k .. 4k+3`` come from counter ``(k + 1, 0, 0, 0)``.
+    ``4k .. 4k+3`` come from counter ``(k + 1, 0, 0, 0)``.  The array is
+    the transpose of one row per word, so each draw's column is contiguous.
     """
+    seed = check_seed(seed)
     streams = np.asarray(streams, dtype=np.uint64)
     n = streams.shape[0]
-    c0 = np.full(n, block + 1, dtype=np.uint64)
-    c1 = np.zeros(n, dtype=np.uint64)
-    c2 = np.zeros(n, dtype=np.uint64)
-    c3 = np.zeros(n, dtype=np.uint64)
-    k0 = np.full(n, check_seed(seed), dtype=np.uint64)
-    k1 = streams.copy()
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 += _PHILOX_W0
-            k1 += _PHILOX_W1
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
+    first = _PHILOX_M[0] * (block + 1)  # round 1, M0 lane
+    buf = np.empty((12, 2, n), dtype=np.uint64)
+    np.copyto(buf[:4], _PHILOX_LANES)
+    m, mh, ml, w, k, x, y, xl, hi, t, u, v = buf
+    k[0], k[1] = seed, streams
+    x[0] = seed
+    np.bitwise_xor(streams, np.array(first >> 64, dtype=np.uint64), out=x[1])
+    y[0], y[1] = 0, first & 0xFFFFFFFFFFFFFFFF
+    for _ in range(_PHILOX_ROUNDS - 1):
+        np.add(k, w, out=k)
+        # hi(m * x) by a carry chain over 32-bit halves, in which no partial
+        # product overflows: t = ml xl >> 32, u = mh xl + t,
+        # v = ml xh + (u & L), hi = mh xh + (u >> 32) + (v >> 32)
+        np.bitwise_and(x, _LOW32, out=xl)
+        np.right_shift(x, _SHIFT32, out=hi)  # xh, which becomes hi in place
+        np.multiply(ml, xl, out=t)
+        np.right_shift(t, _SHIFT32, out=t)
+        np.multiply(mh, xl, out=u)
+        np.add(u, t, out=u)
+        np.multiply(ml, hi, out=v)
+        np.bitwise_and(u, _LOW32, out=t)
+        np.add(v, t, out=v)
+        np.multiply(mh, hi, out=hi)
+        np.right_shift(u, _SHIFT32, out=u)
+        np.add(hi, u, out=hi)
+        np.right_shift(v, _SHIFT32, out=v)
+        np.add(hi, v, out=hi)
+        np.multiply(m, x, out=x)  # lo(m * x)
+        np.bitwise_xor(hi[::-1], y, out=y)
+        np.bitwise_xor(y, k, out=y)
+        x, y = y, x[::-1]
+    words = np.empty((4, n), dtype=np.uint64)
+    words[0::2], words[1::2] = x, y
+    return words.T
 
 
 def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a verdict
 line.  Tolerances are pinned here and nowhere else."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -291,6 +292,11 @@ def test_criterion_10_byte_identical_reports(tmp_path):
     announce(10, "sweep, session, and detect reports reproduce byte for byte")
 
 
+# SHA-256 of `--mode sweep --trials 20000 --seed 4`, frozen from the
+# sampler that ran 1024-trial chunks.
+SWEEP_20000_SHA256 = "5c988cbbf46186a1fa8b4873c2dff6deb22bffbf4660e04d23fad65239deeabd"
+
+
 def test_criterion_11_identities_and_sweep_under_60s(tmp_path, capsys):
     start = time.perf_counter()
     assert cli.main(["--mode", "identities"]) == 0
@@ -306,4 +312,8 @@ def test_criterion_11_identities_and_sweep_under_60s(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     capsys.readouterr()
     assert elapsed < 60.0
+    # The report's bytes; at MC_CHUNK = 4096 each strategy runs five chunks,
+    # the last one partial.
+    digest = hashlib.sha256((tmp_path / "sweep.json").read_bytes()).hexdigest()
+    assert digest == SWEEP_20000_SHA256
     announce(11, f"identities plus full sweep completed in {elapsed:.1f}s")

@@ -471,7 +471,8 @@ def test_sweep_report_and_csv():
 
 # (announced-op, strict-u0) failures of monte_carlo(strategy, 3000, seed,
 # policy, target), frozen from the implementation that looped over trials
-# with one make_rng(seed, t) each.  3000 trials end in a partial chunk.
+# with one make_rng(seed, t) each.  Partial chunks are covered by
+# test_monte_carlo_counts_do_not_depend_on_chunk_size, run at MC_CHUNK = 7.
 FROZEN_MC_FAILURES = {
     ("none", 7, "uniform-second"): (0, 2258),
     ("none", 7, "uniform-first"): (0, 2258),
@@ -535,6 +536,15 @@ def test_monte_carlo_counts_do_not_depend_on_chunk_size(strategy, monkeypatch):
     reference = monte_carlo(strategy, 100, seed=3)
     monkeypatch.setattr(analysis, "MC_CHUNK", 7)
     assert monte_carlo(strategy, 100, seed=3) == reference
+
+
+@pytest.mark.parametrize("trials", [True, 2.5])
+def test_monte_carlo_rejects_trials_that_are_not_integers(trials):
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        monte_carlo(AttackStrategy.NONE, trials, seed=3)
+    # a report row would otherwise record "trials": true after one trial
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        detection_report(AttackStrategy.NONE, trials=trials, seed=3)
 
 
 def test_monte_carlo_rejects_policy_keyed_by_name():

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -316,6 +316,24 @@ def test_philox_block_matches_numpy_philox(seed, start, stop):
         # which rounds seeds past 2**53
         key = np.array([seed, trial], dtype=np.uint64)
         assert row.tolist() == np.random.Philox(key=key).random_raw(12).tolist()
+
+
+KEY_WORDS = st.integers(0, 2**64 - 1)
+
+
+@given(seed=KEY_WORDS, stream=KEY_WORDS, block=st.integers(0, 7))
+@example(seed=0, stream=0, block=0)
+@example(seed=2**64 - 1, stream=2**64 - 1, block=7)
+@example(seed=0, stream=2**64 - 1, block=3)
+@example(seed=2**64 - 1, stream=0, block=5)
+@settings(max_examples=200, deadline=None)
+def test_philox_block_matches_numpy_philox_on_any_key(seed, stream, block):
+    # two rows, so that a kernel mixing one row's words into another's fails
+    streams = np.array([stream, stream ^ 1], dtype=np.uint64)
+    got = philox_block(seed, streams, block)
+    for row, word in zip(got, streams.tolist()):
+        key = np.array([seed, word], dtype=np.uint64)
+        assert row.tolist() == np.random.Philox(key=key).random_raw(4 * (block + 1))[-4:].tolist()
 
 
 def test_trial_streams_reject_bad_range():
