@@ -578,6 +578,16 @@ class MonteCarloResult:
         return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / self.trials)
 
 
+def _check_trials(trials: int, least: int) -> int:
+    """``trials`` as an int if it is an integer of at least ``least``, else
+    a ValueError naming it."""
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < least:
+        raise ValueError(f"trials must be at least {least}, got {trials}")
+    return int(trials)
+
+
 def monte_carlo(
     strategy: AttackStrategy,
     trials: int,
@@ -594,11 +604,7 @@ def monte_carlo(
     hands every trial exactly its own stream's draws, so the counts do not
     depend on the chunk size.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValueError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    trials = int(trials)
+    trials = _check_trials(trials, 1)
     qcore.check_seed(seed)
     cfg = _one_group_config(policy, encode_target)
     failures = {pred: 0 for pred in DetectionPredicate}
@@ -807,6 +813,7 @@ def detection_report(
     seed: int | None = None,
 ) -> dict:
     """Exact, algebraic, and (optionally) sampled figures as a report row."""
+    trials = _check_trials(trials, 0)
     if trials > 0 and seed is None:
         raise ValueError("sampling requires a seed")
     mc = monte_carlo(strategy, trials, seed) if trials > 0 else None
@@ -830,6 +837,7 @@ def sweep_report(trials: int, seed: int | None) -> dict:
     claimed reference values; each strategy's Monte Carlo run and leaf set
     are computed once and shared by both predicates' rows.  ``seed`` is
     recorded as given: None when ``trials`` is 0 and nothing is sampled."""
+    trials = _check_trials(trials, 0)
     if trials > 0 and seed is None:
         raise ValueError("sampling requires a seed")
     rows = []

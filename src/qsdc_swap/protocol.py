@@ -196,41 +196,6 @@ class SessionConfig:
         return 2 * self.n_encoding
 
 
-# A batched factor keeps its distinct states plus a row index only while
-# its rows number at least INDEX_RATIO times the states a step would make:
-# four collapsed candidates per distinct state for a measurement, K per
-# state for a per-row op from a table of K, U1 * U2 for a merge.  Below
-# that it holds one state per row, so small batches (sessions of 4 and 32
-# groups, early enumeration passes) run as they would without an index.
-# Measured with ``perfbench/run.py --seconds 12`` on a 2-vCPU host, four
-# alternating pairs: sessions op_p50_ms read 0.655 at a ratio of 4 and
-# 0.636 at 16 (16 faster in three pairs), and exact leaves/s 205k and 204k.
-INDEX_RATIO = 16
-
-
-def _per_row(sv: StateVector, index: np.ndarray | None) -> StateVector:
-    """One state per batch row of a factor with a row index, else ``sv``."""
-    return sv if index is None else qcore._trusted(sv.qubits, sv.amps[index])
-
-
-def _pair_factors(
-    s1: StateVector, i1: np.ndarray | None, s2: StateVector, i2: np.ndarray | None
-) -> tuple[StateVector, np.ndarray | None]:
-    """Compose two factors, each with its row index or None, into one."""
-    if i1 is None and i2 is None:
-        return qcore.compose(s1, s2), None
-    if s1.batch is None or s2.batch is None:  # one state against the distinct ones
-        return qcore.compose(s1, s2), i2 if i1 is None else i1
-    if i1 is not None and i2 is not None:
-        u1, u2 = s1.batch, s2.batch
-        if u1 * u2 * INDEX_RATIO <= len(i1):
-            # Every pair of distinct states, s1's major.
-            left = qcore._trusted(s1.qubits, np.repeat(s1.amps, u2, axis=0))
-            right = qcore._trusted(s2.qubits, np.tile(s2.amps, (u1, 1)))
-            return qcore.compose(left, right), i1 * u2 + i2
-    return qcore.compose(_per_row(s1, i1), _per_row(s2, i2)), None
-
-
 class Register:
     """Pool of disjoint state-vector factors addressed by qubit id.
 
@@ -239,19 +204,17 @@ class Register:
     other's tensors.  ``touched`` records every qubit an operation has
     addressed, which lets tests audit an adversary's reach.
 
-    Factors may be batched, one state per batch row (a trial, or a group
-    of a session); single-state factors then act as the same state in
-    every row.  A Bell measurement has at most four outcomes, so a batch
-    of many rows soon holds a handful of distinct states: such a factor
-    keeps only its distinct states plus a (rows,) index naming each row's
-    state, and the ``qcore`` kernels run once per distinct state
-    (``INDEX_RATIO``).  ``factor_state`` gives the batch row by row
-    either way.
+    Factors may be batched, one row per trial, group of a session or
+    enumerated history; single-state factors then act as the same state in
+    every row.  How a batched factor is stored, one state per row or its
+    distinct states plus a row index, is ``qcore``'s business: the
+    register only tracks which factor holds which qubit, and every
+    operation is one ``qcore`` call on that factor.  ``factor_state``
+    gives the batch row by row either way.
     """
 
     def __init__(self, states: Iterable[StateVector] = ()):
         self._factors: dict[int, StateVector] = {}
-        self._rows: dict[int, np.ndarray] = {}  # the row index of an indexed factor
         self._home: dict[int, int] = {}
         self._next_key = 0
         self._next_qubit = 1
@@ -283,7 +246,6 @@ class Register:
     def clone(self) -> "Register":
         other = object.__new__(Register)
         other._factors = dict(self._factors)
-        other._rows = dict(self._rows)
         other._home = dict(self._home)
         other._next_key = self._next_key
         other._next_qubit = self._next_qubit
@@ -294,12 +256,7 @@ class Register:
         """The register restricted to ``rows`` of its batch: batched factors
         keep those rows, single-state factors are shared."""
         other = self.clone()
-        for key, sv in self._factors.items():
-            index = self._rows.get(key)
-            if index is not None:
-                other._rows[key] = index[rows]
-            elif sv.batch is not None:
-                other._factors[key] = qcore._trusted(sv.qubits, sv.amps[rows])
+        other._factors = {key: sv.take(rows) for key, sv in self._factors.items()}
         return other
 
     def _key_of(self, q: int) -> int:
@@ -314,99 +271,48 @@ class Register:
         keys = sorted(set(map(self._key_of, qubits)))
         main = keys[0]
         if len(keys) > 1:
-            sv, index = self._factors[main], self._rows.get(main)
+            sv = self._factors[main]
             for key in keys[1:]:
-                sv, index = _pair_factors(
-                    sv, index, self._factors.pop(key), self._rows.pop(key, None)
-                )
-            self._keep(main, sv, index)
+                sv = qcore.compose(sv, self._factors.pop(key))
+            self._factors[main] = sv
             self._home.update(dict.fromkeys(sv.qubits, main))
         return main
 
     def factor_state(self, *qubits: int) -> StateVector:
         """The (merged) factor holding the given qubits, one state per batch
         row if it is batched."""
-        key = self._merge(qubits)
-        return _per_row(self._factors[key], self._rows.get(key))
-
-    def _keep(self, key: int, sv: StateVector, index: np.ndarray | None) -> None:
-        """Store factor ``key`` with its row index, or None for none."""
-        self._factors[key] = sv
-        if index is not None:
-            self._rows[key] = index
-        elif self._rows:
-            self._rows.pop(key, None)
+        return self._factors[self._merge(qubits)].per_row()
 
     def apply_single(self, q: int, op: np.ndarray, codes: np.ndarray | None = None) -> None:
         """Apply the 2x2 ``op`` to ``q``; with ``codes``, one int per batch
         row, ``op`` is a (K, 2, 2) table and row r gets ``op[codes[r]]``."""
         self.touched.add(q)
         key = self._key_of(q)
-        sv, index = self._factors[key], self._rows.get(key)
-        if codes is not None:
-            codes = np.asarray(codes, dtype=np.intp)
-            k = len(op)
-            if sv.batch is None and k * INDEX_RATIO <= len(codes):
-                index = codes  # the one state's K images are the distinct states
-            elif index is not None and sv.batch * k * INDEX_RATIO <= len(codes):
-                # Every distinct state under every op, state major.
-                op = np.tile(op, (sv.batch, 1, 1))
-                sv = qcore._trusted(sv.qubits, np.repeat(sv.amps, k, axis=0))
-                index = index * k + codes
-            else:
-                sv, op, index = _per_row(sv, index), op[codes], None
-        self._keep(key, qcore.apply_single(sv, q, op), index)
+        self._factors[key] = qcore.apply_single(self._factors[key], q, op, codes)
 
     def apply_cnot(self, control: int, target: int) -> None:
         self.touched.update((control, target))
         key = self._merge((control, target))
         self._factors[key] = qcore.apply_cnot(self._factors[key], control, target)
 
-    def _drop_pair(
-        self, key: int, a: int, b: int, collapsed: StateVector, index: np.ndarray | None
-    ) -> None:
+    def _drop_pair(self, key: int, a: int, b: int, collapsed: StateVector) -> None:
         del self._home[a]
         del self._home[b]
         if collapsed.qubits:
-            self._keep(key, collapsed, index)
+            self._factors[key] = collapsed
         else:
             del self._factors[key]
-            self._rows.pop(key, None)
 
     def measure_bell(
         self, a: int, b: int, rng: qcore.TrialStreams | qcore.Uniforms
     ) -> np.ndarray:
-        """Sample a Bell measurement of ``(a, b)``, one outcome per batch row
-        as an int array indexing BELL_KINDS, and collapse in place.
-
-        A factor with one state per row runs ``qcore.sample_bell``.  Any
-        other is projected once per distinct state, and each row's outcome
-        is drawn from its state's probabilities.  If the rows number
-        ``INDEX_RATIO`` times the four outcomes of every distinct state,
-        the collapsed candidates, every outcome at or above
-        ``qcore.MIN_BRANCH_PROB``, are the new distinct states; otherwise
-        each row keeps its own collapsed state.
-        """
+        """Sample a Bell measurement of ``(a, b)`` through
+        ``qcore.sample_bell``, one outcome per batch row as an int array
+        indexing BELL_KINDS, and collapse in place."""
         self.touched.update((a, b))
         key = self._merge((a, b))
-        sv, index = self._factors[key], self._rows.get(key)
-        if index is None and sv.amps.ndim == 2:  # one state per row
-            kind, collapsed = qcore.sample_bell(sv, a, b, rng)
-        else:
-            # One state, the same in every row, or the distinct states.
-            rest, projected, probs = qcore._pair_projections(sv, a, b)
-            kind = qcore.choose(rng, probs if index is None else probs[index])
-            if 4 * (1 if index is None else sv.batch) * INDEX_RATIO <= len(kind):
-                keep = probs >= qcore.MIN_BRANCH_PROB
-                outcome = kind if index is None else index * 4 + kind
-                index = (np.cumsum(keep) - 1)[outcome]
-                projected, probs = projected[keep], probs[keep]
-            elif index is None:
-                projected, probs = projected[kind], probs[kind]
-            else:
-                projected, probs, index = projected[index, kind], probs[index, kind], None
-            collapsed = qcore._collapse(rest, projected, probs)
-        self._drop_pair(key, a, b, collapsed, index)
+        kind, collapsed = qcore.sample_bell(self._factors[key], a, b, rng)
+        self._drop_pair(key, a, b, collapsed)
         return kind
 
     def enumerate_bell(self, a: int, b: int) -> list[tuple[float, "Register", BellKind]]:
@@ -415,7 +321,7 @@ class Register:
         out = []
         for branch in qcore.bell_branches(self._factors[key], a, b):
             reg = self.clone()
-            reg._drop_pair(key, a, b, branch.state, None)
+            reg._drop_pair(key, a, b, branch.state)
             out.append((branch.prob, reg, branch.kind))
         return out
 

@@ -19,10 +19,16 @@ threads.  Measured qubits are removed from the register instead of being
 kept as classical flags, which keeps multi-stage eavesdropping scenarios
 inside the register cap.
 
-A state may also be a batch: amplitudes of shape ``(B, 2**n)``, one
-independent state per Monte Carlo trial, or per photon group of a session,
-over the same qubit tuple.  The operations below accept single and batched
-states alike.
+A state may also be a batch of rows, one independent state per Monte
+Carlo trial, per photon group of a session or per enumerated history, over
+the same qubit tuple.  This module alone decides how a batch is stored:
+amplitudes of shape ``(B, 2**n)``, one state per row, or the batch's U
+distinct states as ``(U, 2**n)`` amplitudes plus ``rows``, a (B,) index
+naming each row's state.  A Bell measurement has at most four outcomes,
+so after a few of them many rows share a handful of states, and the
+operations below then run once per distinct state.  ``INDEX_RATIO`` sets
+when a batch keeps an index; ``per_row()`` and ``take(rows)`` read it row
+by row.  The operations accept single, per-row and indexed states alike.
 
 Every random choice goes through one outcome hook, ``choose``, and gives
 one outcome per batch row, as an int array: a Bell measurement's outcomes
@@ -61,7 +67,7 @@ product, and real-part rewrites of the probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, unique
 from functools import lru_cache
 from itertools import compress
@@ -76,6 +82,17 @@ MAX_QUBITS = 12
 
 # Outcomes less likely than this are never drawn and never enumerated.
 MIN_BRANCH_PROB = 1e-12
+
+# A batch keeps its distinct states plus a row index only while its rows
+# number at least INDEX_RATIO times the states a step would make: four
+# collapsed candidates per distinct state for a measurement, K per state
+# for a per-row op from a table of K, U1 * U2 for a composition.  Below
+# that it holds one state per row, so small batches (sessions of 4 and 32
+# groups, early enumeration passes) run as they would without an index.
+# Measured with ``perfbench/run.py --seconds 12`` on a 2-vCPU host, four
+# alternating pairs: sessions op_p50_ms read 0.655 at a ratio of 4 and
+# 0.636 at 16 (16 faster in three pairs), and exact leaves/s 205k and 204k.
+INDEX_RATIO = 16
 
 
 class QubitError(ValueError):
@@ -135,10 +152,13 @@ class StateVector:
 
     ``amps`` of shape ``(B, 2**n)`` holds a batch of B states, each
     normalized on its own; any other shape is flattened to one state.
+    ``rows`` is None, or for a batch built by the operations below, a
+    (rows,) index into the distinct states in ``amps`` (module docstring).
     """
 
     qubits: tuple[int, ...]
     amps: np.ndarray
+    rows: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         qubits = tuple(int(q) for q in self.qubits)
@@ -164,8 +184,20 @@ class StateVector:
 
     @property
     def batch(self) -> int | None:
-        """Number of states in a batch, or None for a single state."""
+        """Number of rows in a batch, or None for a single state."""
+        if self.rows is not None:
+            return len(self.rows)
         return self.amps.shape[0] if self.amps.ndim == 2 else None
+
+    def per_row(self) -> StateVector:
+        """The batch with one state per row; any other state is itself."""
+        return self if self.rows is None else _trusted(self.qubits, self.amps[self.rows])
+
+    def take(self, rows) -> StateVector:
+        """The batch restricted to ``rows``; a single state is every row's."""
+        if self.rows is not None:
+            return _trusted(self.qubits, self.amps, self.rows[rows])
+        return self if self.amps.ndim == 1 else _trusted(self.qubits, self.amps[rows])
 
     def index_of(self, q: int) -> int:
         try:
@@ -180,12 +212,16 @@ class StateVector:
         return self.amps.reshape(self.amps.shape[:1] + (2,) * self.n)
 
 
-def _trusted(qubits: tuple[int, ...], amps: np.ndarray) -> StateVector:
-    """Construct without re-validating; amps must be fresh and normalized."""
+def _trusted(
+    qubits: tuple[int, ...], amps: np.ndarray, rows: np.ndarray | None = None
+) -> StateVector:
+    """Construct without re-validating; amps must be fresh and normalized,
+    and ``rows`` an index into them or None."""
     sv = object.__new__(StateVector)
     amps.flags.writeable = False
     object.__setattr__(sv, "qubits", qubits)
     object.__setattr__(sv, "amps", amps)
+    object.__setattr__(sv, "rows", rows)
     return sv
 
 
@@ -246,7 +282,10 @@ def single_qubit(q: int) -> StateVector:
 def compose(s1: StateVector, s2: StateVector) -> StateVector:
     """Tensor product; qubit order is s1's followed by s2's.
 
-    A single state composed with a batch is paired with every state in it.
+    A single state composed with a batch is paired with every state in it,
+    and keeps the batch's row index.  Two indexed batches whose rows number
+    ``INDEX_RATIO`` times their pairs of distinct states compose every such
+    pair, s1's major; any other two batches compose row by row.
     """
     qubits = s1.qubits + s2.qubits
     shared = set(s1.qubits).intersection(s2.qubits)
@@ -254,27 +293,52 @@ def compose(s1: StateVector, s2: StateVector) -> StateVector:
         raise QubitError(f"qubit sets overlap on {sorted(shared)}")
     if len(qubits) > MAX_QUBITS:
         raise QubitError(f"{len(qubits)} qubits exceeds the register cap of {MAX_QUBITS}")
-    amps = s1.amps[..., :, None] * s2.amps[..., None, :]
-    return _trusted(qubits, amps.reshape(amps.shape[:-2] + (-1,)))
+    a1, a2, rows = s1.amps, s2.amps, s1.rows if s2.rows is None else s2.rows
+    u1, u2 = len(a1), len(a2)
+    if s1.rows is not None and s2.rows is not None and u1 * u2 * INDEX_RATIO <= len(rows):
+        # Every pair of distinct states, s1's major.
+        a1, a2, rows = np.repeat(a1, u2, axis=0), np.tile(a2, (u1, 1)), s1.rows * u2 + s2.rows
+    elif rows is not None and a1.ndim == a2.ndim == 2:  # an indexed batch and another batch
+        a1, a2, rows = s1.per_row().amps, s2.per_row().amps, None
+    amps = a1[..., :, None] * a2[..., None, :]
+    return _trusted(qubits, amps.reshape(amps.shape[:-2] + (-1,)), rows)
 
 
-def apply_single(state: StateVector, q: int, op: np.ndarray) -> StateVector:
+def apply_single(
+    state: StateVector, q: int, op: np.ndarray, codes: np.ndarray | None = None
+) -> StateVector:
     """Apply a 2x2 unitary to qubit ``q``.
 
     ``op`` may also be a ``(B, 2, 2)`` stack, one matrix per trial; applied
-    to a single state it yields a batch.
+    to a single state it yields a batch.  With ``codes``, one int per batch
+    row, ``op`` is a (K, 2, 2) table and row r gets ``op[codes[r]]``: a
+    single state, or an indexed batch whose rows number ``INDEX_RATIO``
+    times its distinct states' K images, then keeps those images as its
+    distinct states.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (2, 2) or op.ndim > 3:
         raise ValueError(f"single-qubit operator must be 2x2 or (B, 2, 2), got {op.shape}")
+    amps, rows = state.amps, state.rows
+    if codes is not None:
+        codes, k = np.asarray(codes, dtype=np.intp), len(op)
+        if amps.ndim == 1 and k * INDEX_RATIO <= len(codes):
+            rows = codes  # the one state's K images are the distinct states
+        elif rows is not None and len(amps) * k * INDEX_RATIO <= len(codes):
+            # Every distinct state under every op, state major.
+            op, rows = np.tile(op, (len(amps), 1, 1)), rows * k + codes
+            amps = np.repeat(amps, k, axis=0)
+        else:
+            amps, op, rows = state.per_row().amps, op[codes], None
+    elif op.ndim == 3:  # one matrix per row
+        amps, rows = state.per_row().amps, None
     i = state.index_of(q)
     # Each state as (qubits before q, q, qubits after q), and each matrix
     # column against the matching slice of q's axis: leading axes pair
     # per-trial matrices with per-trial states.
-    amps = state.amps
     arr = amps.reshape(amps.shape[:-1] + (1 << i, 2, 1 << (len(state.qubits) - i - 1)))
     arr = op[..., None, :, 0, None] * arr[..., :1, :] + op[..., None, :, 1, None] * arr[..., 1:, :]
-    return _trusted(state.qubits, _unit_norm(arr.reshape(arr.shape[:-3] + (-1,))))
+    return _trusted(state.qubits, _unit_norm(arr.reshape(arr.shape[:-3] + (-1,))), rows)
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
@@ -283,7 +347,7 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
         raise QubitError("control and target must differ")
     ic, it = state.index_of(control), state.index_of(target)
     permuted = state.amps.take(_cnot_gather(len(state.qubits), ic, it), axis=-1)
-    return _trusted(state.qubits, permuted)
+    return _trusted(state.qubits, permuted, state.rows)
 
 
 @lru_cache(maxsize=None)
@@ -317,8 +381,9 @@ def _pair_projections(
 
     Returns the remaining qubit order, a (4, rest) array of unnormalized
     collapsed vectors indexed like BELL_KINDS, and the 4 probabilities;
-    for a batch, (B, 4, rest) and (B, 4).  The vectors are a view of one
-    (..., rest, 4) block (module docstring, Arithmetic).
+    for a batch, (B, 4, rest) and (B, 4), B counting the distinct states
+    of an indexed batch.  The vectors are a view of one (..., rest, 4)
+    block (module docstring, Arithmetic).
     """
     if a == b:
         raise QubitError("cannot Bell-measure a qubit against itself")
@@ -356,12 +421,15 @@ def bell_branches(state: StateVector, a: int, b: int) -> list[Branch]:
     ]
 
 
-def _collapse(rest: tuple[int, ...], vecs: np.ndarray, p: np.ndarray) -> StateVector:
+def _collapse(
+    rest: tuple[int, ...], vecs: np.ndarray, p: np.ndarray, rows: np.ndarray | None = None
+) -> StateVector:
     """The batch of collapsed states on ``rest``: each of the chosen
     projected vectors ``vecs``, a fresh (B, rest) array, divided in place by
-    the square root of its probability (module docstring, Arithmetic)."""
+    the square root of its probability (module docstring, Arithmetic), with
+    the row index ``rows`` into them or None."""
     vecs /= np.sqrt(p)[:, None]
-    return _trusted(rest, vecs)
+    return _trusted(rest, vecs, rows)
 
 
 def choose(rng, probs) -> np.ndarray:
@@ -380,20 +448,31 @@ def choose(rng, probs) -> np.ndarray:
 def sample_bell(
     state: StateVector, a: int, b: int, rng: TrialStreams | Uniforms
 ) -> tuple[np.ndarray, StateVector]:
-    """Measure ``(a, b)`` in the Bell basis, the outcome drawn by ``choose``.
+    """Measure ``(a, b)`` in the Bell basis, the outcome drawn by ``choose``;
+    every Bell measurement of a batch runs here.
 
     The outcome is an int array indexing BELL_KINDS, one per batch row, and
     each row's rest collapses onto its own outcome; a single state gives
-    a batch of collapsed states, one per row of the source.
+    a batch of collapsed states, one per row of the source.  Each distinct
+    state is projected once, and each row's outcome is drawn from its
+    state's probabilities.  If the rows number ``INDEX_RATIO`` times the
+    four outcomes of every distinct state, the collapsed candidates, every
+    outcome at or above ``MIN_BRANCH_PROB``, are the new distinct states
+    and the rows index them; otherwise each row gathers its own.
     """
     rest, projected, probs = _pair_projections(state, a, b)
-    chosen = choose(rng, probs)
-    if probs.ndim == 1:  # one state, an outcome per row
-        vecs, p = projected[chosen], probs[chosen]
-    else:
-        rows = np.arange(len(chosen))
-        vecs, p = projected[rows, chosen], probs[rows, chosen]
-    return chosen, _collapse(rest, vecs, p)
+    rows = state.rows
+    chosen = choose(rng, probs if rows is None else probs[rows])
+    if probs.ndim == 1:  # one state, the same in every row
+        at = chosen
+    else:  # each row's own state, or the distinct state its index names
+        at = (np.arange(len(chosen)) if rows is None else rows, chosen)
+    if probs.size * INDEX_RATIO <= len(chosen):  # four candidates per distinct state
+        keep = probs >= MIN_BRANCH_PROB
+        outcome = chosen if probs.ndim == 1 else at[0] * 4 + chosen
+        candidate = (np.cumsum(keep) - 1)[outcome]
+        return chosen, _collapse(rest, projected[keep], probs[keep], candidate)
+    return chosen, _collapse(rest, projected[at], probs[at])
 
 
 def kind_in(kind: np.ndarray, kinds) -> np.ndarray:

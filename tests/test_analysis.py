@@ -547,6 +547,19 @@ def test_monte_carlo_rejects_trials_that_are_not_integers(trials):
         detection_report(AttackStrategy.NONE, trials=trials, seed=3)
 
 
+@pytest.mark.parametrize(
+    "trials, message",
+    [(-3, "trials must be at least 0, got -3"), (2.5, "trials must be an integer, got 2.5"),
+     ("7", "trials must be an integer, got '7'")],
+)
+def test_reports_reject_a_negative_or_non_integer_trial_count(trials, message):
+    # a negative count would otherwise be recorded beside rows that sampled nothing
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sweep_report(trials, 5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detection_report(AttackStrategy.NONE, trials=trials, seed=4)
+
+
 def test_monte_carlo_rejects_policy_keyed_by_name():
     with pytest.raises(ValueError, match="EncodingOp"):
         monte_carlo(AttackStrategy.NONE, 10, seed=0, policy={"u0": 1.0})

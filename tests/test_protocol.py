@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from qsdc_swap import protocol, qcore
 from qsdc_swap.adversary import AttackStrategy, attack_footprint
-from qsdc_swap.analysis import monte_carlo
+from qsdc_swap.analysis import enumerate_session_leaves, monte_carlo
 from qsdc_swap.bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp
 from qsdc_swap.protocol import (
     DetectionPredicate,
@@ -465,6 +465,11 @@ def test_register_apply_single_codes_pick_ops_per_row():
     assert abs(abs(np.vdot(minus.amps, amps[1])) - 1.0) < 1e-12
 
 
+def _indexed_factors(register: Register) -> int:
+    """How many of the register's factors hold a row index."""
+    return sum(sv.rows is not None for sv in register._factors.values())
+
+
 def _indexed_round(monkeypatch, ratio: int) -> tuple[list, dict, list]:
     """4096 rows through every way a factor gains or keeps a row index:
     a measured single state, per-row ops on one state and on distinct
@@ -472,7 +477,7 @@ def _indexed_round(monkeypatch, ratio: int) -> tuple[list, dict, list]:
     and of an indexed factor with a single state.  Returns the outcomes,
     each stage's per-row states as the register itself, its ``take`` and
     its ``clone`` show them, and each stage's count of indexed factors."""
-    monkeypatch.setattr(protocol, "INDEX_RATIO", ratio)
+    monkeypatch.setattr(qcore, "INDEX_RATIO", ratio)
     rng = TrialStreams(11, 0, 4096)
     register = Register(make_bell(BellKind.PSI_PLUS, q, q + 1) for q in (1, 3, 5, 7, 9))
     rows = [4095, 0, 17, 17, 2048]
@@ -480,7 +485,7 @@ def _indexed_round(monkeypatch, ratio: int) -> tuple[list, dict, list]:
 
     def snapshot(stage, qubits):
         clone = register.clone()
-        indexed.append(len(register._rows))
+        indexed.append(_indexed_factors(register))
         states[stage] = [
             register.factor_state(*qubits).amps,
             register.take(rows).factor_state(*qubits).amps,
@@ -504,7 +509,7 @@ def _indexed_round(monkeypatch, ratio: int) -> tuple[list, dict, list]:
 
 
 def test_indexed_register_matches_one_state_per_row(monkeypatch):
-    outcomes, states, indexed = _indexed_round(monkeypatch, protocol.INDEX_RATIO)
+    outcomes, states, indexed = _indexed_round(monkeypatch, qcore.INDEX_RATIO)
     plain_outcomes, plain_states, plain_indexed = _indexed_round(monkeypatch, 1 << 40)
     # Two fanned-out factors merge into one; the last measurement has too
     # many candidates for 4096 rows and gathers one state per row.
@@ -532,12 +537,37 @@ def test_measuring_zero_probability_outcomes_warns_of_nothing():
         # the swap leaves four distinct Bell pairs on (1, 4), each with
         # three outcomes of probability 0
         first = swapped.measure_bell(2, 3, rng)
-        assert swapped._rows
+        assert _indexed_factors(swapped)
         second = swapped.measure_bell(1, 4, rng)
     psi = {BELL_KINDS.index(BellKind.PSI_PLUS), BELL_KINDS.index(BellKind.PSI_MINUS)}
     assert set(kind.tolist()) == psi
     assert set(first.tolist()) == set(range(4))
     assert np.array_equal(second, first)
+
+
+def test_every_bell_measurement_runs_sample_bell(monkeypatch):
+    """``qcore.sample_bell`` is the one Bell-measurement kernel: an exact
+    enumeration, whose late passes hold indexed factors, and a 256-group
+    session call it once per ``Register.measure_bell``."""
+    calls = {"sample_bell": 0, "measure_bell": 0}
+    sample_bell, measure_bell = qcore.sample_bell, Register.measure_bell
+
+    def counted_sample_bell(*args):
+        calls["sample_bell"] += 1
+        return sample_bell(*args)
+
+    def counted_measure_bell(self, *args):
+        calls["measure_bell"] += 1
+        return measure_bell(self, *args)
+
+    monkeypatch.setattr(qcore, "sample_bell", counted_sample_bell)
+    monkeypatch.setattr(Register, "measure_bell", counted_measure_bell)
+    enumerate_session_leaves(2, [1, 2], AttackStrategy.REPLACE_MEASURE_BEFORE)
+    assert calls["measure_bell"] > 0
+    assert calls["sample_bell"] == calls["measure_bell"]
+    config = SessionConfig(256, 64, message_bits="01" * 192, seed=7)
+    run_session(config, AttackStrategy.REPLACE_MEASURE_BEFORE)
+    assert calls["sample_bell"] == calls["measure_bell"]
 
 
 # (n_groups, n_checking) of the frozen transcript grid: each size with no,

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qsdc_swap import qcore
 from qsdc_swap.analysis import MC_CHUNK
 from qsdc_swap.qcore import (
     BELL_KINDS,
@@ -446,6 +447,57 @@ def test_single_state_sampled_by_a_batch_of_streams():
     expected = [oracles.sampled_branch(make_rng(42, i).random(), branches) for i in range(50)]
     assert [BELL_KINDS[i] for i in outcomes] == [b.kind for b in expected]
     np.testing.assert_allclose(rest.amps, [b.state.amps for b in expected], atol=1e-12)
+
+
+_ROWS = 4096
+
+
+def _swapped(seed: int, a: int, b: int, c: int, d: int) -> tuple[np.ndarray, StateVector]:
+    """Outcomes and collapsed state of measuring ``(b, c)`` of two psi+
+    pairs ``(a, b)`` and ``(c, d)`` in 4096 rows: each row keeps one of
+    four Bell pairs on ``(a, d)``."""
+    pairs = compose(make_bell(BellKind.PSI_PLUS, a, b), make_bell(BellKind.PSI_PLUS, c, d))
+    return sample_bell(pairs, b, c, TrialStreams(seed, 0, _ROWS))
+
+
+@pytest.mark.parametrize("ratio", [qcore.INDEX_RATIO, 1 << 40])
+def test_indexed_state_matches_one_state_per_row(monkeypatch, ratio):
+    """Every operation on an indexed batch gives, row by row, bit for bit
+    what it gives on the batch with one state per row; at a ratio of
+    2**40 every operation takes its one-state-per-row path."""
+    outcomes, state = _swapped(1, 1, 2, 3, 4)
+    _, other = _swapped(2, 5, 6, 7, 8)
+    assert state.rows is not None and other.rows is not None
+    assert state.batch == _ROWS and len(state.amps) == 4
+    monkeypatch.setattr(qcore, "INDEX_RATIO", ratio)
+    flat = state.per_row()
+    assert flat.rows is None and flat.batch == _ROWS
+
+    def same(got, want):
+        assert want.rows is None and got.qubits == want.qubits
+        assert np.array_equal(got.per_row().amps, want.amps)
+
+    # the single state's measurement, gathered at 2**40
+    again, remeasured = _swapped(1, 1, 2, 3, 4)
+    assert np.array_equal(again, outcomes)
+    same(remeasured, flat)
+    for partner in (other, other.per_row(), single_qubit(9)):
+        same(compose(state, partner), compose(flat, partner.per_row()))
+        same(compose(partner, state), compose(partner.per_row(), flat))
+    table = np.stack((U0, U1, U2, U3))
+    codes = TrialStreams(3, 0, _ROWS).choose([0.25] * 4)
+    same(apply_single(state, 4, U3), apply_single(flat, 4, U3))
+    same(apply_single(state, 4, table, codes), apply_single(flat, 4, table, codes))
+    same(apply_single(state, 4, table[codes]), apply_single(flat, 4, table[codes]))
+    one = make_bell(BellKind.PSI_PLUS, 1, 2)
+    same(apply_single(one, 2, table, codes), apply_single(one, 2, table[codes]))
+    same(apply_cnot(state, 4, 1), apply_cnot(flat, 4, 1))
+    joint = compose(state, other)
+    for pair, rest in (((4, 5), (1, 8)), ((1, 4), (5, 8))):
+        got_kind, got = sample_bell(joint, *pair, TrialStreams(4, 0, _ROWS))
+        want_kind, want = sample_bell(joint.per_row(), *pair, TrialStreams(4, 0, _ROWS))
+        assert np.array_equal(got_kind, want_kind) and got.qubits == rest
+        same(got, want)
 
 
 def test_batched_state_vector_validation():
