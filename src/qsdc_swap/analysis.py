@@ -8,7 +8,8 @@ Detection probabilities come from two deliberately separate code paths:
   random choice goes through ``qcore.choose``, and each replay extends
   every outcome prefix by all outcomes of its next branching choice, with
   exact weights; a choice with a single possible outcome is taken within
-  the pass and costs none of its own, and
+  the pass and costs none of its own, and a pass ends at its first
+  branching choice, so only the last pass runs the round to its end, and
 * swap-algebra arithmetic, which never touches amplitudes and works only
   with the cached decomposition tables.
 
@@ -187,6 +188,11 @@ def session_detection(p: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _Branching(Exception):
+    """Ends a replay pass at its first branching choice; ``_replay`` alone
+    catches it."""
+
+
 class _Script:
     """Outcome source that replays one outcome prefix per batch row.
 
@@ -194,8 +200,8 @@ class _Script:
     ``qcore.MIN_BRANCH_PROB`` in every row is forced: it is taken in the
     same pass, and its outcome and probability columns go to ``forced``.
     The first choice with more outcomes in some row records every row's
-    outcome probabilities in ``open``; from there on each choice takes the
-    row's likeliest outcome.
+    outcome probabilities in ``open`` and ends the pass by raising
+    ``_Branching``.
     """
 
     def __init__(self, prefixes: np.ndarray):
@@ -205,16 +211,15 @@ class _Script:
         self.open: np.ndarray | None = None
 
     def choose(self, probs) -> np.ndarray:
-        probs = np.broadcast_to(probs, (len(self.prefixes), np.shape(probs)[-1]))
         self.depth += 1
         if self.depth <= self.prefixes.shape[1]:
             return self.prefixes[:, self.depth - 1]
+        probs = np.broadcast_to(probs, (len(self.prefixes), np.shape(probs)[-1]))
+        if (np.count_nonzero(probs >= qcore.MIN_BRANCH_PROB, axis=-1) != 1).any():
+            self.open = probs
+            raise _Branching
         outcome = probs.argmax(axis=-1)
-        if self.open is None:
-            if (np.count_nonzero(probs >= qcore.MIN_BRANCH_PROB, axis=-1) == 1).all():
-                self.forced.append((outcome, probs[np.arange(len(probs)), outcome]))
-            else:
-                self.open = probs
+        self.forced.append((outcome, probs[np.arange(len(probs)), outcome]))
         return outcome
 
 
@@ -222,13 +227,14 @@ def _replay(round_fn):
     """Every outcome history of ``round_fn(rng)``, breadth first.
 
     Each pass replays the round on all prefixes so far, takes the forced
-    choices it meets, and extends every row by each non-negligible outcome
-    of its first real branching, so a choice with one possible outcome
-    costs no pass of its own.  Prefixes hold one column per choice, and
-    weights take each choice's probability in choice order.  Returns the
-    prefixes in lexicographic order, their exact weights and the last
-    pass's result, which holds one outcome per history.  Rows replayed
-    over all passes count against the node budget.
+    choices it meets, and ends at its first real branching, extending
+    every row by each non-negligible outcome of it, so a choice with one
+    possible outcome costs no pass of its own.  Only the last pass, which
+    meets no branching, runs the round to its end.  Prefixes hold one
+    column per choice, and weights take each choice's probability in
+    choice order.  Returns the prefixes in lexicographic order, their
+    exact weights and the last pass's result, which holds one outcome per
+    history.  Rows replayed over all passes count against the node budget.
     """
     raw = os.environ.get(NODE_BUDGET_ENV, str(DEFAULT_NODE_BUDGET))
     try:
@@ -247,10 +253,15 @@ def _replay(round_fn):
                 f"enumeration exceeded the {node_budget}-node budget"
             )
         script = _Script(prefixes)
-        result = round_fn(script)
-        for outcome, p in script.forced:
-            weights = weights * p
-            prefixes = np.column_stack([prefixes, outcome])
+        try:
+            result = round_fn(script)
+        except _Branching:
+            pass
+        if script.forced:
+            outcomes, probs = zip(*script.forced)
+            for p in probs:
+                weights = weights * p
+            prefixes = np.column_stack([prefixes, *outcomes])
         if script.open is None:
             return prefixes, weights, result
         rows, outcomes = np.nonzero(script.open >= qcore.MIN_BRANCH_PROB)

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import power_divergence
 
 import oracles
-from qsdc_swap import analysis
+from qsdc_swap import adversary, analysis, qcore
 from qsdc_swap.adversary import AttackStrategy
 from qsdc_swap.analysis import (
     EnumerationBudgetError,
@@ -317,6 +317,46 @@ def test_replay_takes_forced_choices_in_pass(monkeypatch):
     assert counts == [3, 3, 4, 5, 4, 4]
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_only_the_last_pass_completes_the_round(monkeypatch, strategy):
+    # A pass ends at its first branching choice, so Eve's deferred
+    # measurements run once per enumeration, in the pass that branches no more.
+    calls = []
+    finalize_attack = adversary.finalize_attack
+
+    def counted(*args):
+        calls.append(1)
+        return finalize_attack(*args)
+
+    monkeypatch.setattr(adversary, "finalize_attack", counted)
+    group_leaves(strategy)
+    assert len(calls) == 1
+
+
+def test_replay_stop_signal_hides_no_round_error():
+    def round_fn(rng):
+        qcore.choose(rng, np.array([0.5, 0.5]))
+        raise ValueError("raised after the branch")
+
+    with pytest.raises(ValueError, match="raised after the branch"):
+        analysis._replay(round_fn)
+    # Round code catches these; the signal must pass through all of them.
+    for caught in (ValueError, KeyError, TypeError, qcore.QubitError):
+        assert not issubclass(analysis._Branching, caught)
+
+
+def test_replay_stop_signal_stays_inside_replay():
+    def round_fn(rng):
+        first = qcore.choose(rng, np.array([0.25, 0.75]))
+        second = qcore.choose(rng, np.array([0.5, 0.5]))
+        return first * 2 + second
+
+    prefixes, weights, result = analysis._replay(round_fn)
+    assert prefixes.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert weights.tolist() == [0.125, 0.125, 0.375, 0.375]
+    assert result.tolist() == [0, 1, 2, 3]
+
+
 def _session_cell(verdict: Verdict, decoded: str, bits: str) -> int:
     """0: detected, 1: clean and decoded right, 2: clean and decoded wrong."""
     if verdict is not Verdict.CLEAN:
@@ -384,6 +424,17 @@ def test_node_budget_enforced(monkeypatch):
         enumerate_session_leaves(2, [1, 2], AttackStrategy.REPLACE_MEASURE_BEFORE)
     monkeypatch.delenv(analysis.NODE_BUDGET_ENV)
     exact_detection(AttackStrategy.NONE)  # default budget restored
+
+
+def test_node_budget_counts_rows_replayed(monkeypatch):
+    # A pass that stops at its first branching choice still counts every
+    # row it replays: this enumeration replays 87381 rows over all passes.
+    monkeypatch.setenv(analysis.NODE_BUDGET_ENV, "87381")
+    leaves = enumerate_session_leaves(2, [1, 2], AttackStrategy.REPLACE_MEASURE_BEFORE)
+    assert len(leaves) == 65536
+    monkeypatch.setenv(analysis.NODE_BUDGET_ENV, "87380")
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_session_leaves(2, [1, 2], AttackStrategy.REPLACE_MEASURE_BEFORE)
 
 
 def test_bad_node_budget_names_the_variable(monkeypatch):
