@@ -2,6 +2,10 @@
 preparation and the sender's receipt confirmation, the records she keeps,
 and the inference rule she applies to the public announcements afterwards.
 
+Each strategy is written once, in ``apply_attack``.  Eve's guess is Bob's
+decoding rule applied to her own record, a Bell kind she knows in place
+of Bob's outcome.
+
 Every strategy acts group by group and touches only travel photons and
 qubits Eve creates herself, never the receiver's kept photons.  Qubits Eve
 injects take fresh ids; a group's travel slots are re-pointed at whatever
@@ -19,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qcore
-from .bellmap import EncodingOp, apply_encoding, invert_encoding
+from .bellmap import EncodingOp, invert_encoding
 from .protocol import Group, Register, SessionConfig, prepare_registers
 from .qcore import BellKind
 
@@ -53,17 +57,21 @@ CORRECTION_TRIGGER = frozenset({BellKind.PSI_MINUS, BellKind.PHI_MINUS})
 class EveMemory:
     """Eve's session-local records, keyed by group index; never reads
     honest private outcomes.  Each outcome is an int array indexing
-    BELL_KINDS, and each correction a bool array, one entry per batch row."""
+    BELL_KINDS, and each correction a bool array, one entry per batch row.
 
-    strategy: AttackStrategy
+    ``known_kinds`` holds the kind Eve decodes a group's announcement
+    against: the travel pair she measured (intercept-resend) or, once
+    ``finalize_attack`` has run, her kept replacement halves
+    (replace-after).  A group without one gets no guess.
+    """
+
     applied: bool = False
-    travel_outcomes: dict[int, np.ndarray] = field(default_factory=dict)
+    known_kinds: dict[int, np.ndarray] = field(default_factory=dict)
     cross_outcomes: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     ancilla_outcomes: dict[int, np.ndarray] = field(default_factory=dict)
     ancilla_qubits: dict[int, tuple[int, int]] = field(default_factory=dict)
     kept_replacement: dict[int, tuple[int, int]] = field(default_factory=dict)
     kept_originals: dict[int, tuple[int, int]] = field(default_factory=dict)
-    replacement_outcomes: dict[int, np.ndarray] = field(default_factory=dict)
     corrections: dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -91,7 +99,7 @@ def apply_attack(
             # Measure the travel pair, then forward a fresh pair prepared
             # in the observed state.
             kind = register.measure_bell(t1, t2, rng)
-            memory.travel_outcomes[g.index] = kind
+            memory.known_kinds[g.index] = kind
             fresh = register.allocate(2)
             register.add(qcore.make_bell(kind, *fresh))
             g.alice_qubits = fresh
@@ -143,24 +151,23 @@ def attack_footprint(strategy: AttackStrategy) -> tuple[int, int]:
     """
     source = qcore.TrialStreams(0, 0, 1)
     register, groups = prepare_registers(SessionConfig(n_groups=1, n_checking=1))
-    apply_attack(strategy, register, groups, source, EveMemory(strategy=strategy))
+    apply_attack(strategy, register, groups, source, EveMemory())
     # the group holds ids 1-4, so Eve's ids start at 5
     return source._drawn, register.allocate(1)[0] - 5
 
 
 def finalize_attack(
-    strategy: AttackStrategy,
     register: Register,
     groups: list[Group],
     memory: EveMemory,
     rng: qcore.TrialStreams | qcore.Uniforms,
 ) -> None:
-    """Eve's deferred measurements once the announcements are public."""
-    if strategy is AttackStrategy.REPLACE_MEASURE_AFTER:
-        for g in sorted(groups, key=lambda g: g.index):
-            kept = memory.kept_replacement.get(g.index)
-            if kept is not None:
-                memory.replacement_outcomes[g.index] = register.measure_bell(*kept, rng)
+    """Eve's deferred measurements once the announcements are public: the
+    kept replacement halves of each group, which only replace-after keeps."""
+    for g in sorted(groups, key=lambda g: g.index):
+        kept = memory.kept_replacement.get(g.index)
+        if kept is not None:
+            memory.known_kinds[g.index] = register.measure_bell(*kept, rng)
 
 
 def eve_guess_bits(
@@ -171,23 +178,13 @@ def eve_guess_bits(
     an int array indexing ENCODING_OPS with one guess per batch row, or
     None to abstain.
 
-    With a recorded Bell outcome that seeds the swapped correlation she can
-    invert the announcement; without one she abstains.  The ancilla
-    outcomes are not inverted: a lone ancilla kind does not determine the
-    pre-coding travel kind, so those strategies abstain by contract.
+    She decodes each announcement against the group's known kind, as Bob
+    decodes it against his own outcome, and abstains where she has none.
+    The ancilla outcomes are not decoded: a lone ancilla kind does not
+    determine the pre-coding travel kind, so those strategies abstain by
+    contract.
     """
-    guesses: dict[int, np.ndarray | None] = {}
-    for g, announced in zip(groups, alice):
-        if (
-            memory.strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND
-            and g in memory.travel_outcomes
-        ):
-            guesses[g] = invert_encoding(memory.travel_outcomes[g], announced)
-        elif (
-            memory.strategy is AttackStrategy.REPLACE_MEASURE_AFTER
-            and g in memory.replacement_outcomes
-        ):
-            guesses[g] = invert_encoding(memory.replacement_outcomes[g], announced)
-        else:
-            guesses[g] = None
-    return guesses
+    return {
+        g: invert_encoding(memory.known_kinds[g], announced) if g in memory.known_kinds else None
+        for g, announced in zip(groups, alice)
+    }

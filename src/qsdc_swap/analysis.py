@@ -5,10 +5,11 @@ Detection probabilities come from two deliberately separate code paths:
 
 * tree enumeration, which replays the live adversary and protocol code
   (the round ``monte_carlo`` samples) under scripted outcomes: every
-  random choice goes through ``qcore.choose``, and each replay extends
-  every outcome prefix by all outcomes of its next branching choice, with
-  exact weights; a choice with a single possible outcome is taken within
-  the pass and costs none of its own, and a pass ends at its first
+  random choice goes through the outcome hook ``rng.choose``, and each
+  replay extends every outcome prefix by all outcomes of its next
+  branching choice, with exact weights; a choice with a single possible
+  outcome is taken within the pass and costs none of its own, and a pass
+  ends at its first
   branching choice, so only the last pass runs the round to its end, and
 * swap-algebra arithmetic, which never touches amplitudes and works only
   with the cached decomposition tables.
@@ -273,7 +274,7 @@ def _session_round(cfg: SessionConfig, strategy: AttackStrategy, checking: set[i
     """``run_session`` up to its verdict, with the groups in ``checking``
     checking: the round that sampling and enumeration share."""
     register, groups = prepare_registers(cfg)
-    memory = EveMemory(strategy=strategy)
+    memory = EveMemory()
     adv.apply_attack(strategy, register, groups, rng, memory)
     chk = protocol.run_checking(
         register,
@@ -338,7 +339,7 @@ def group_leaves(
 
     def group_round(rng):
         register, groups, memory, chk = _session_round(cfg, strategy, {1}, rng)
-        adv.finalize_attack(strategy, register, groups, memory, rng)
+        adv.finalize_attack(register, groups, memory, rng)
         (guess,) = adv.eve_guess_bits(memory, chk.group.tolist(), chk.alice).values()
         return chk.op[0], chk.alice[0], chk.bob[0], guess
 

@@ -6,6 +6,11 @@ transcription slip cannot silently poison the decoder.  The verbatim
 printed correlation table used for cross-checking lives in the test suite
 only.  Coefficient signs are recorded, but correlation and decoding use
 support alone: measurement statistics depend on squared magnitudes.
+
+One decoding table, derived from ``correlation_table()``, holds the
+correlation decision: the op each joint (receiver, sender) outcome decodes
+to.  Bob's check (``is_correlated``), his decoding (``decode_op``,
+``invert_encoding``) and Eve's guess all read it.
 """
 
 from __future__ import annotations
@@ -147,26 +152,6 @@ def apply_encoding(op: EncodingOp, kind: BellKind) -> BellKind:
     return result
 
 
-def invert_encoding(before: np.ndarray, after: np.ndarray) -> np.ndarray:
-    """The unique op carrying each ``before`` kind onto the ``after`` kind:
-    int arrays indexing BELL_KINDS in, an int array indexing ENCODING_OPS
-    out, one op per trial."""
-    return _inversion_table()[before, after]
-
-
-@lru_cache(maxsize=None)
-def _inversion_table() -> np.ndarray:
-    """invert_encoding as an int array indexed [before, after]."""
-    table = np.full((4, 4), -1)
-    for i, op in enumerate(ENCODING_OPS):
-        for b, before in enumerate(BELL_KINDS):
-            table[b, BELL_KINDS.index(apply_encoding(op, before))] = i
-    if (table < 0).any():
-        raise AssertionError("the coding ops do not carry each kind onto every kind")
-    table.flags.writeable = False
-    return table
-
-
 @lru_cache(maxsize=None)
 def correlation_table() -> Mapping[EncodingOp, frozenset[tuple[BellKind, BellKind]]]:
     """Per-op sets of correlated (receiver, sender) outcome pairs.
@@ -189,40 +174,61 @@ def correlation_table() -> Mapping[EncodingOp, frozenset[tuple[BellKind, BellKin
     return MappingProxyType(table)
 
 
-def is_correlated(
-    op: EncodingOp | np.ndarray, bob: BellKind | np.ndarray, alice: BellKind | np.ndarray
-) -> bool | np.ndarray:
-    """Membership test in the correlation column for ``op``.
-
-    Batched outcomes, int arrays indexing ENCODING_OPS and BELL_KINDS,
-    give one bool per trial.
-    """
-    if isinstance(bob, BellKind):
-        return (bob, alice) in correlation_table()[op]
-    if isinstance(op, EncodingOp):
-        op = ENCODING_OPS.index(op)
-    return _correlation_mask()[op, bob, alice]
-
-
 @lru_cache(maxsize=None)
-def _correlation_mask() -> np.ndarray:
-    """correlation_table() as a bool array indexed [op, bob, alice]."""
-    mask = np.zeros((4, 4, 4), dtype=bool)
+def _decode_map() -> np.ndarray:
+    """The correlation decision as an int array indexed [bob, alice]
+    (indices into BELL_KINDS): the index in ENCODING_OPS of the op whose
+    column of ``correlation_table()`` holds the joint outcome."""
+    table = np.empty((4, 4), dtype=np.intp)
     for i, op in enumerate(ENCODING_OPS):
         for bob, alice in correlation_table()[op]:
-            mask[i, BELL_KINDS.index(bob), BELL_KINDS.index(alice)] = True
-    mask.flags.writeable = False
-    return mask
-
-
-@lru_cache(maxsize=None)
-def _decode_map() -> Mapping[tuple[BellKind, BellKind], EncodingOp]:
-    mapping = {
-        pair: op for op, column in correlation_table().items() for pair in column
-    }
-    return MappingProxyType(mapping)
+            table[BELL_KINDS.index(bob), BELL_KINDS.index(alice)] = i
+    table.flags.writeable = False
+    return table
 
 
 def decode_op(bob: BellKind, alice: BellKind) -> EncodingOp:
     """The unique op whose column contains the joint outcome."""
-    return _decode_map()[(bob, alice)]
+    return ENCODING_OPS[_decode_map()[BELL_KINDS.index(bob), BELL_KINDS.index(alice)]]
+
+
+def invert_encoding(bob: np.ndarray, alice: np.ndarray) -> np.ndarray:
+    """``decode_op`` on int arrays indexing BELL_KINDS: an int array
+    indexing ENCODING_OPS, one op per trial.
+
+    Column ``op`` holds ``(kind, apply_encoding(op, kind))`` for every
+    kind, so the decoded op is also the one that carries ``bob``'s kind
+    onto ``alice``'s.
+    """
+    return _decode_map()[bob, alice]
+
+
+def is_correlated(
+    op: EncodingOp | np.ndarray, bob: BellKind | np.ndarray, alice: BellKind | np.ndarray
+) -> bool | np.ndarray:
+    """Whether the joint outcome lies in the correlation column of ``op``,
+    that is, whether it decodes to ``op``.
+
+    Outcomes come as two ``BellKind`` members, with ``op`` an
+    ``EncodingOp``, or as int arrays indexing BELL_KINDS, with ``op`` an
+    ``EncodingOp`` or int array indexing ENCODING_OPS, which give one bool
+    per trial.  Any other mix raises a ValueError naming the argument.
+    """
+    if isinstance(bob, BellKind) or isinstance(alice, BellKind):
+        if isinstance(op, EncodingOp) and isinstance(bob, BellKind) and isinstance(alice, BellKind):
+            return decode_op(bob, alice) is op
+        forms = (("op", op, EncodingOp), ("bob", bob, BellKind), ("alice", alice, BellKind))
+        name, value, kind = next(form for form in forms if not isinstance(form[1], form[2]))
+        raise ValueError(
+            f"is_correlated with BellKind outcomes needs {name} to be a "
+            f"{kind.__name__}, got {value!r}"
+        )
+    if isinstance(op, EncodingOp):
+        op = ENCODING_OPS.index(op)
+    for name, value in (("op", op), ("bob", bob), ("alice", alice)):
+        if np.asarray(value).dtype.kind not in "iu":
+            raise ValueError(
+                f"is_correlated with index outcomes needs {name} to be an int "
+                f"index array, got {value!r}"
+            )
+    return _decode_map()[bob, alice] == op

@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import qcore
-from .bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp, decode_op, is_correlated
+from .bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp, invert_encoding, is_correlated
 from .qcore import BELL_KINDS, BellKind, StateVector
 
 
@@ -130,9 +130,9 @@ def policy_weights(policy: Mapping[EncodingOp, float]) -> list[float]:
 def draw_op(
     policy: Mapping[EncodingOp, float], rng: qcore.TrialStreams | qcore.Uniforms
 ) -> np.ndarray:
-    """The op drawn from ``policy`` through the outcome hook ``qcore.choose``,
-    as an int array indexing ENCODING_OPS, one op per batch row."""
-    return qcore.choose(rng, policy_weights(policy))
+    """The op drawn from ``policy`` by the outcome hook ``rng.choose``, as
+    an int array indexing ENCODING_OPS, one op per batch row."""
+    return rng.choose(policy_weights(policy))
 
 
 @dataclass
@@ -435,6 +435,11 @@ def run_encoding(
     return EncodingRecords(_indices(groups), *(np.array(c, dtype=np.intp) for c in (alice, bob)))
 
 
+# The codeword of each op, indexed like ENCODING_OPS.
+_CODEWORDS = np.array([op.bits for op in ENCODING_OPS], dtype=object)
+_CODEWORDS.flags.writeable = False
+
+
 def decode_message(bob: np.ndarray, alice: np.ndarray) -> str | list[str]:
     """The codewords Bob decodes from his and Alice's outcomes, aligned
     columns indexing BELL_KINDS, concatenated in column order: a str for
@@ -444,7 +449,7 @@ def decode_message(bob: np.ndarray, alice: np.ndarray) -> str | list[str]:
             f"receiver outcomes of shape {np.shape(bob)} do not pair with "
             f"announced outcomes of shape {np.shape(alice)}"
         )
-    words = _decode_words()[bob, alice]
+    words = _CODEWORDS[invert_encoding(bob, alice)]
     if words.ndim == 1:
         return "".join(words.tolist())
     return list(map("".join, words.T.tolist()))
@@ -584,15 +589,6 @@ class EncodingRecords(_Table):
 _TABLES = (("groups", GroupTable), ("checking", CheckingRecords), ("encoding", EncodingRecords))
 
 
-@lru_cache(maxsize=None)
-def _decode_words() -> np.ndarray:
-    """The decoded codeword of each joint outcome, indexed [bob, alice]."""
-    words = [[decode_op(bob, alice).bits for alice in BELL_KINDS] for bob in BELL_KINDS]
-    table = np.array(words, dtype=object)
-    table.flags.writeable = False
-    return table
-
-
 @dataclass(eq=False)
 class SessionTranscript:
     """Observable history of one session, held as columns (README,
@@ -720,7 +716,7 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
         register,
         [template],
         qcore.Uniforms(rng.random((n, draws))),
-        adversary.EveMemory(strategy=strategy),
+        adversary.EveMemory(),
     )
     mask = partition_groups(n, cfg.n_checking, rng)
     groups = _group_table(mask, template.alice_qubits, fresh)

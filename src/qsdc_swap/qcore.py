@@ -30,12 +30,16 @@ operations below then run once per distinct state.  ``INDEX_RATIO`` sets
 when a batch keeps an index; ``per_row()`` and ``take(rows)`` read it row
 by row.  The operations accept single, per-row and indexed states alike.
 
-Every random choice goes through one outcome hook, ``choose``, and gives
-one outcome per batch row, as an int array: a Bell measurement's outcomes
-index ``BELL_KINDS``.  The sources behind the hook are row sources:
-``TrialStreams`` draws the per-trial uniforms, ``Uniforms`` hands out a
-session's pre-drawn ones, and ``analysis`` replays the same code under
-scripted outcomes to enumerate every history with exact weights.
+Every random choice goes through one outcome hook, ``rng.choose(probs)``,
+which gives the outcome that happens in each batch row, out of outcomes
+weighted ``probs`` (one row of weights, or one per batch row), as an int
+array: a Bell measurement's outcomes index ``BELL_KINDS``.  The sources
+behind the hook are row sources: ``TrialStreams`` draws the per-trial
+uniforms and ``Uniforms`` hands out a session's pre-drawn ones, each row
+taking the first non-negligible outcome whose cumulative weight exceeds
+its uniform, or the likeliest one if rounding leaves the uniform past the
+end; ``analysis`` replays the same code under scripted outcomes to
+enumerate every history with exact weights.
 
 Arithmetic.  Reports print exact figures to full precision and the
 transcript and leaf digests pin every drawn outcome, so the floating-point
@@ -432,23 +436,10 @@ def _collapse(
     return _trusted(rest, vecs, rows)
 
 
-def choose(rng, probs) -> np.ndarray:
-    """The outcome hook: the index of the outcome that happens in each batch
-    row, out of outcomes weighted ``probs``, as an int array.
-
-    ``probs`` holds one weight per outcome, or one such row per batch row.
-    ``TrialStreams`` and ``Uniforms`` take, in each row, the first
-    non-negligible outcome whose cumulative weight exceeds that row's own
-    uniform, or the likeliest one if rounding leaves the uniform past the
-    end; ``analysis`` replays scripted outcomes.
-    """
-    return rng.choose(probs)
-
-
 def sample_bell(
     state: StateVector, a: int, b: int, rng: TrialStreams | Uniforms
 ) -> tuple[np.ndarray, StateVector]:
-    """Measure ``(a, b)`` in the Bell basis, the outcome drawn by ``choose``;
+    """Measure ``(a, b)`` in the Bell basis, the outcome drawn by ``rng.choose``;
     every Bell measurement of a batch runs here.
 
     The outcome is an int array indexing BELL_KINDS, one per batch row, and
@@ -462,7 +453,7 @@ def sample_bell(
     """
     rest, projected, probs = _pair_projections(state, a, b)
     rows = state.rows
-    chosen = choose(rng, probs if rows is None else probs[rows])
+    chosen = rng.choose(probs if rows is None else probs[rows])
     if probs.ndim == 1:  # one state, the same in every row
         at = chosen
     else:  # each row's own state, or the distinct state its index names
@@ -639,8 +630,8 @@ def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
 
 
 def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:
-    """``choose``'s rule for every row at once, row i deciding by
-    ``uniforms[i]``."""
+    """The outcome hook's rule (module docstring) for every row at once,
+    row i deciding by ``uniforms[i]``."""
     probs = np.asarray(probs)
     hit = (uniforms[:, None] < np.add.accumulate(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
     chosen = hit.argmax(axis=-1)

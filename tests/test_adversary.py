@@ -64,7 +64,7 @@ def test_strategy_names():
 def test_none_attack_is_identity():
     register, groups = fresh_register()
     before = [register.factor_state(1, 2), register.factor_state(3, 4)]
-    memory = EveMemory(strategy=AttackStrategy.NONE)
+    memory = EveMemory()
     apply_attack(AttackStrategy.NONE, register, groups, one_row(0), memory)
     assert groups[0].alice_qubits == (2, 4)
     after = [register.factor_state(1, 2), register.factor_state(3, 4)]
@@ -73,7 +73,7 @@ def test_none_attack_is_identity():
 
 def test_attack_cannot_run_twice():
     register, groups = fresh_register()
-    memory = EveMemory(strategy=AttackStrategy.NONE)
+    memory = EveMemory()
     apply_attack(AttackStrategy.NONE, register, groups, one_row(0), memory)
     with pytest.raises(RuntimeError):
         apply_attack(AttackStrategy.NONE, register, groups, one_row(0), memory)
@@ -85,11 +85,11 @@ def test_measure_resend_pins_receiver_pair():
     seen = set()
     for seed in range(24):
         register, groups = fresh_register()
-        memory = EveMemory(strategy=AttackStrategy.INTERCEPT_MEASURE_RESEND)
+        memory = EveMemory()
         apply_attack(
             AttackStrategy.INTERCEPT_MEASURE_RESEND, register, groups, one_row(seed), memory
         )
-        eve_kind = only_kind(memory.travel_outcomes[1])
+        eve_kind = only_kind(memory.known_kinds[1])
         seen.add(eve_kind)
         assert classify_bell(only_state(register.factor_state(1, 3))) is eve_kind
         forwarded = register.factor_state(*groups[0].alice_qubits)
@@ -100,7 +100,7 @@ def test_measure_resend_pins_receiver_pair():
 
 def test_replace_forwards_eve_halves():
     register, groups = fresh_register()
-    memory = EveMemory(strategy=AttackStrategy.REPLACE_MEASURE_AFTER)
+    memory = EveMemory()
     apply_attack(
         AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, one_row(1), memory
     )
@@ -114,7 +114,7 @@ def test_replace_forwards_eve_halves():
 
 def test_replace_measure_before_records_cross_outcomes():
     register, groups = fresh_register()
-    memory = EveMemory(strategy=AttackStrategy.REPLACE_MEASURE_BEFORE)
+    memory = EveMemory()
     apply_attack(
         AttackStrategy.REPLACE_MEASURE_BEFORE, register, groups, one_row(4), memory
     )
@@ -126,7 +126,7 @@ def test_replace_measure_before_records_cross_outcomes():
 
 def test_ancilla_attack_builds_printed_expansion():
     register, groups = fresh_register()
-    memory = EveMemory(strategy=AttackStrategy.ANCILLA_PASSIVE)
+    memory = EveMemory()
     apply_attack(AttackStrategy.ANCILLA_PASSIVE, register, groups, one_row(0), memory)
     assert memory.ancilla_qubits[1] == (5, 6)
     state = register.factor_state(1, 2, 3, 4, 5, 6)
@@ -147,7 +147,7 @@ def test_ancilla_corrective_records_and_corrects():
     triggered = 0
     for seed in range(24):
         register, groups = fresh_register()
-        memory = EveMemory(strategy=AttackStrategy.ANCILLA_CORRECTIVE)
+        memory = EveMemory()
         apply_attack(
             AttackStrategy.ANCILLA_CORRECTIVE, register, groups, one_row(seed), memory
         )
@@ -210,7 +210,7 @@ def test_attack_never_touches_receiver_photons(strategy):
     register, groups = prepare_two_group_register()
     bob_ids = {q for g in groups for q in g.bob_qubits}
     register.touched.clear()
-    memory = EveMemory(strategy=strategy)
+    memory = EveMemory()
     apply_attack(strategy, register, groups, one_row(8), memory)
     assert not (register.touched & bob_ids)
 
@@ -225,7 +225,7 @@ def prepare_two_group_register():
 def test_attack_determinism():
     def run(seed):
         register, groups = prepare_two_group_register()
-        memory = EveMemory(strategy=AttackStrategy.REPLACE_MEASURE_BEFORE)
+        memory = EveMemory()
         apply_attack(
             AttackStrategy.REPLACE_MEASURE_BEFORE, register, groups, one_row(seed), memory
         )
@@ -235,16 +235,22 @@ def test_attack_determinism():
 
 
 def test_eve_guess_inverts_measure_resend():
-    memory = EveMemory(strategy=AttackStrategy.INTERCEPT_MEASURE_RESEND)
-    memory.travel_outcomes[2] = np.array([BELL_KINDS.index(KIND["phi+"])])
+    memory = EveMemory()
+    memory.known_kinds[2] = np.array([BELL_KINDS.index(KIND["phi+"])])
     alice = np.array([[BELL_KINDS.index(KIND["phi-"])]])
     (guess,) = eve_guess_bits(memory, [2], alice)[2]
     assert ENCODING_OPS[guess] is EncodingOp.U1
 
 
 def test_eve_guess_abstains_without_records():
-    for strategy in (AttackStrategy.NONE, AttackStrategy.ANCILLA_CORRECTIVE):
-        memory = EveMemory(strategy=strategy)
+    # No strategy but intercept-resend knows a kind before finalize_attack;
+    # an ancilla outcome is no known kind.
+    for strategy in AttackStrategy:
+        if strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND:
+            continue
+        register, groups = fresh_register()
+        memory = EveMemory()
+        apply_attack(strategy, register, groups, one_row(0), memory)
         memory.ancilla_outcomes[1] = np.array([BELL_KINDS.index(KIND["psi-"])])
         guesses = eve_guess_bits(memory, [1], np.array([[BELL_KINDS.index(KIND["phi-"])]]))
         assert guesses == {1: None}
@@ -256,12 +262,12 @@ def test_finalize_replace_after_enables_exact_guess():
     for seed in range(12):
         register, groups = fresh_register()
         rng = one_row(seed)
-        memory = EveMemory(strategy=AttackStrategy.REPLACE_MEASURE_AFTER)
+        memory = EveMemory()
         apply_attack(AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, rng, memory)
         op = ENCODING_OPS[seed % 4]
         register.apply_single(groups[0].alice_qubits[1], op.matrix)
         alice = register.measure_bell(*groups[0].alice_qubits, rng)
-        finalize_attack(AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, memory, rng)
+        finalize_attack(register, groups, memory, rng)
         (guess,) = eve_guess_bits(memory, [1], np.array([alice]))[1]
         assert ENCODING_OPS[guess] is op
 

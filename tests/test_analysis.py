@@ -335,7 +335,7 @@ def test_only_the_last_pass_completes_the_round(monkeypatch, strategy):
 
 def test_replay_stop_signal_hides_no_round_error():
     def round_fn(rng):
-        qcore.choose(rng, np.array([0.5, 0.5]))
+        rng.choose(np.array([0.5, 0.5]))
         raise ValueError("raised after the branch")
 
     with pytest.raises(ValueError, match="raised after the branch"):
@@ -347,8 +347,8 @@ def test_replay_stop_signal_hides_no_round_error():
 
 def test_replay_stop_signal_stays_inside_replay():
     def round_fn(rng):
-        first = qcore.choose(rng, np.array([0.25, 0.75]))
-        second = qcore.choose(rng, np.array([0.5, 0.5]))
+        first = rng.choose(np.array([0.25, 0.75]))
+        second = rng.choose(np.array([0.5, 0.5]))
         return first * 2 + second
 
     prefixes, weights, result = analysis._replay(round_fn)

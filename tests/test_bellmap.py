@@ -4,6 +4,7 @@ import pytest
 import oracles
 from qsdc_swap.bellmap import (
     ENCODING_OPS,
+    EncodingOp,
     apply_encoding,
     correlation_table,
     decode_op,
@@ -13,6 +14,7 @@ from qsdc_swap.bellmap import (
     swap_decompose,
     swap_support_rule,
 )
+from qsdc_swap.protocol import decode_message
 from qsdc_swap.qcore import BELL_KINDS, BellKind, classify_bell
 
 KIND = {k.value: k for k in BELL_KINDS}
@@ -150,6 +152,41 @@ def test_decode_round_trips_all_pairs():
             assert decode_op(bob, alice) is op
             inverted = invert_encoding(BELL_KINDS.index(bob), BELL_KINDS.index(alice))
             assert ENCODING_OPS[inverted] is op
+    # Bob's check, both decoders and the message decoder read one table:
+    # they agree on every (op, bob, alice).
+    codes = np.arange(4)
+    bob_codes, alice_codes = np.repeat(codes, 4), np.tile(codes, 4)
+    for i, op in enumerate(ENCODING_OPS):
+        batch = is_correlated(op, bob_codes, alice_codes)
+        by_index = is_correlated(np.full(16, i), bob_codes, alice_codes)
+        assert batch.tolist() == by_index.tolist()
+        for row, (b, a) in enumerate(zip(bob_codes, alice_codes)):
+            bob, alice = BELL_KINDS[b], BELL_KINDS[a]
+            scalar = is_correlated(op, bob, alice)
+            assert scalar is bool(batch[row])
+            assert scalar == (invert_encoding(b, a) == i)
+            assert scalar is (decode_op(bob, alice) is op)
+    assert decode_message(bob_codes, alice_codes) == "".join(
+        decode_op(BELL_KINDS[b], BELL_KINDS[a]).bits for b, a in zip(bob_codes, alice_codes)
+    )
+
+
+@pytest.mark.parametrize(
+    "op,bob,alice,named",
+    [
+        (EncodingOp.U1, BellKind.PHI_PLUS, 1, "alice"),
+        (EncodingOp.U1, 0, BellKind.PHI_MINUS, "bob"),
+        ("u0", BellKind.PHI_PLUS, BellKind.PHI_PLUS, "op"),
+        (3, BellKind.PHI_PLUS, BellKind.PSI_MINUS, "op"),
+        (np.array([1]), BellKind.PHI_PLUS, BellKind.PHI_MINUS, "op"),
+        ("u0", np.array([0]), np.array([0]), "op"),
+        (EncodingOp.U0, np.array(["phi+"]), np.array([0]), "bob"),
+        (EncodingOp.U0, np.array([0]), np.array([0.0]), "alice"),
+    ],
+)
+def test_is_correlated_rejects_mixed_forms(op, bob, alice, named):
+    with pytest.raises(ValueError, match=f"needs {named} to be"):
+        is_correlated(op, bob, alice)
 
 
 def test_kind_labels_are_distinct():
