@@ -28,7 +28,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -470,34 +470,50 @@ class SessionLeaf(NamedTuple):
 _leaf = partial(tuple.__new__, SessionLeaf)
 
 
-def _rows(n: int, group: np.ndarray, *fields: tuple[np.ndarray, Sequence]) -> list[tuple]:
-    """Each of ``n`` histories' records, one (group, *values) tuple per
-    group; empty tuples without groups.  Each field pairs a (groups, n)
-    column of codes with the values they index.
+def _fold(
+    n: int, *columns: tuple[np.ndarray | None, Sequence], make=tuple
+) -> tuple[np.ndarray, list]:
+    """The distinct rows of ``n`` rows of columns: each row's code, and one
+    ``make``-built tuple of values per distinct row, in code order.
 
-    Equal records are one shared tuple, and so are equal histories: a
-    group's fields are one mixed-radix code per history, and the groups
-    fold in one at a time, renumbering the distinct histories after each,
-    so no code exceeds n times a group's number of distinct records.
+    Each column pairs n codes with the values they index; a column of one
+    value may give None for codes.  Columns of more than one value fold
+    into the codes one at a time, and each fold renumbers the distinct
+    rows, so no code exceeds n times a column's number of values.
+    """
+    code, count = np.zeros(n, dtype=np.intp), min(n, 1)
+    for column, values in columns:
+        if len(values) > 1:
+            distinct, code = np.unique(code * len(values) + column, return_inverse=True)
+            count = len(distinct)
+    # Rows of one code hold equal values: build each tuple from any one.
+    first = np.empty(count, dtype=np.intp)
+    first[code] = np.arange(n)
+    return code, list(map(make, zip(*(
+        repeat(values[0], count) if column is None
+        else map(values.__getitem__, column[first].tolist())
+        for column, values in columns
+    ))))
+
+
+def _rows(
+    n: int, group: np.ndarray, *fields: tuple[np.ndarray, Sequence]
+) -> tuple[np.ndarray, list[tuple]]:
+    """The ``_fold`` of ``n`` histories' records, one (group, *values)
+    tuple per group, with one empty history without groups.  Each field
+    pairs a (groups, n) column of codes with the values they index; a
+    group's fields are one mixed-radix code per history, so equal records
+    are one shared tuple, and so are equal histories.
     """
     radix = tuple(len(values) for _, values in fields)
-    history = np.zeros(n, dtype=np.intp)
     per_group = []
     for g, *codes in zip(group.tolist(), *(column for column, _ in fields)):
         distinct, inverse = np.unique(np.ravel_multi_index(codes, radix), return_inverse=True)
-        made = list(zip([g] * len(distinct), *(
+        per_group.append((inverse, list(zip([g] * len(distinct), *(
             map(values.__getitem__, column.tolist())
             for (_, values), column in zip(fields, np.unravel_index(distinct, radix))
-        )))
-        per_group.append((inverse, made))
-        _, first, history = np.unique(
-            history * len(distinct) + inverse, return_index=True, return_inverse=True
-        )
-    if not per_group:
-        return [()] * n
-    shared = list(zip(*(map(made.__getitem__, inverse[first].tolist())
-                        for inverse, made in per_group)))
-    return list(map(shared.__getitem__, history.tolist()))
+        )))))
+    return _fold(n, *per_group) if per_group else (np.zeros(n, dtype=np.intp), [()])
 
 
 def enumerate_session_leaves(
@@ -518,7 +534,11 @@ def enumerate_session_leaves(
     leaves are ``SessionLeaf`` named tuples: first every clean history in
     outcome-prefix order, then each failing checking history once, in the
     same order.  Equal records are one shared tuple, and so are equal
-    histories' tuples of records.
+    histories' tuples of records and equal leaves: histories that differ
+    only in outcomes no field records (Eve's hidden measurements) are one
+    leaf object at each of their places in the list, so ``id()`` does not
+    tell histories apart.  Each leaf is built once and each distinct
+    encoding history decoded once.
     """
     checking: set[int] = set()
     for index in checking_indices:
@@ -541,16 +561,27 @@ def enumerate_session_leaves(
 
     prefixes, prob, (chk, enc, checked) = _replay(session)
     n = len(prob)
-    records = _rows(n, chk.group, (chk.op, ENCODING_OPS), (chk.alice, BELL_KINDS),
-                    (chk.bob, BELL_KINDS), (chk.passed, (False, True)))
-    encoding = _rows(n, enc.group, (enc.alice, BELL_KINDS), (enc.bob, BELL_KINDS))
-    bits = protocol.decode_message(enc.bob, enc.alice) if len(enc) else [""] * n
+    checked_code, histories = _rows(n, chk.group, (chk.op, ENCODING_OPS), (chk.alice, BELL_KINDS),
+                                    (chk.bob, BELL_KINDS), (chk.passed, (False, True)))
+    encoded_code, encodings = _rows(n, enc.group, (enc.alice, BELL_KINDS), (enc.bob, BELL_KINDS))
+    # Rows of one encoding history decode alike: decode one row of each.
+    first = np.empty(len(encodings), dtype=np.intp)
+    first[encoded_code] = np.arange(n)
+    bits = protocol.decode_message(enc.bob[:, first], enc.alice[:, first]) if len(enc) else [""]
+
+    def leaves_of(weights, *fields):
+        # One leaf per distinct (weight, *fields) row, shared by its rows.
+        probs, prob_code = np.unique(weights, return_inverse=True)
+        code, made = _fold(len(weights), (prob_code, probs.tolist()), *fields, make=_leaf)
+        return map(made.__getitem__, code.tolist())
+
     clean = np.broadcast_to(chk.passed.all(axis=0), n)
-    keep = clean.tolist()
-    leaves = list(map(_leaf, zip(
-        compress(prob.tolist(), keep), repeat(Verdict.CLEAN), compress(bits, keep),
-        compress(records, keep), compress(encoding, keep),
-    )))
+    kept = np.flatnonzero(clean)
+    encoded = encoded_code[kept]
+    leaves = list(leaves_of(
+        prob[kept], (None, (Verdict.CLEAN,)), (encoded, bits),
+        (checked_code[kept], histories), (encoded, encodings),
+    ))
     # A failed check ends the session, so its rows differ only in encoding
     # outcomes replayed after the check: each checking history is one leaf.
     # The prefixes come in lexicographic order, so each such history is one
@@ -560,10 +591,10 @@ def enumerate_session_leaves(
     starts = np.ones(len(failing), dtype=bool)
     starts[1:] = (history[1:] != history[:-1]).any(axis=1)
     merged = np.bincount(np.cumsum(starts) - 1, prob[failing], np.count_nonzero(starts))
-    leaves.extend(map(_leaf, zip(
-        merged.tolist(), repeat(Verdict.EVE_DETECTED), repeat(""),
-        map(records.__getitem__, failing[starts].tolist()), repeat(()),
-    )))
+    leaves.extend(leaves_of(
+        merged, (None, (Verdict.EVE_DETECTED,)), (None, ("",)),
+        (checked_code[failing[starts]], histories), (None, ((),)),
+    ))
     return leaves
 
 

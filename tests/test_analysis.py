@@ -199,9 +199,9 @@ LEAF_GRID_CELLS = [
 def test_session_leaf_grid_digest_is_frozen():
     # Pins weights, verdicts, decoded bits, records and leaf order of every
     # two-group checking set, bit for bit, and checks in every cell that
-    # equal checking histories are one shared tuple.
+    # equal checking histories are one shared tuple, and so are equal leaves.
     digest = hashlib.sha256()
-    shared = {}
+    shared, objects = {}, {}
     for strategy in STRATEGIES:
         for checking, predicate, target in LEAF_GRID_CELLS:
             leaves = enumerate_session_leaves(
@@ -216,13 +216,14 @@ def test_session_leaf_grid_digest_is_frozen():
             histories = {id(leaf.checking): leaf.checking for leaf in leaves}
             assert len(set(histories.values())) == len(histories)
             shared[strategy, checking, predicate, target] = len(histories)
+            distinct = len({id(leaf) for leaf in leaves})
+            assert distinct == len(set(leaves))
+            objects[strategy, checking, predicate, target] = distinct
     assert digest.hexdigest() == LEAF_GRID_DIGEST
-    assert shared[
-        AttackStrategy.REPLACE_MEASURE_BEFORE,
-        (1, 2),
-        DetectionPredicate.ANNOUNCED_OP,
-        EncodeTarget.SECOND_TRAVEL_PHOTON,
-    ] == 4096
+    cell = (DetectionPredicate.ANNOUNCED_OP, EncodeTarget.SECOND_TRAVEL_PHOTON)
+    assert shared[AttackStrategy.REPLACE_MEASURE_BEFORE, (1, 2), *cell] == 4096
+    assert objects[AttackStrategy.REPLACE_MEASURE_BEFORE, (1, 2), *cell] == 4096
+    assert objects[AttackStrategy.ANCILLA_CORRECTIVE, (), *cell] == 16
 
 
 def test_rows_match_per_row_tuples_past_an_int64_joint_code():
@@ -239,7 +240,8 @@ def test_rows_match_per_row_tuples_past_an_int64_joint_code():
     codes = np.hstack([codes, codes[:, rng.integers(0, 30, size=20)]])
     values = (ENCODING_OPS, BELL_KINDS, BELL_KINDS, (False, True))
     columns = np.unravel_index(codes, radix)
-    rows = analysis._rows(50, groups, *zip(columns, values))
+    code, histories = analysis._rows(50, groups, *zip(columns, values))
+    rows = list(map(histories.__getitem__, code.tolist()))
     want = [
         tuple(
             (int(g), *(v[c[k, i]] for v, c in zip(values, columns)))
@@ -252,6 +254,37 @@ def test_rows_match_per_row_tuples_past_an_int64_joint_code():
     assert len({id(row) for row in rows}) == 30
     records = [record for row in rows for record in row]
     assert len({id(record) for record in records}) == len(set(records))
+
+
+def test_leaves_match_per_row_tuples_past_an_int64_joint_code():
+    # Leaves folded from 2**22 weights, checking histories and encoding
+    # histories, the decoded bits indexed like the encodings: one joint
+    # code would need 2**66 or more, past int64, and rows whose weight
+    # codes differ by 2**20 collide when such a code wraps.
+    rng = np.random.default_rng(6)
+    size = 2**22
+    base = rng.integers(0, size, size=(3, 10))
+    first, last = base.copy(), base.copy()
+    first[0] = (first[0] + 2**20) % size
+    last[-1] = (last[-1] + 2**20) % size
+    codes = np.hstack([base, first, last])
+    prob, checking, encoding = np.hstack([codes, codes[:, rng.integers(0, 30, size=20)]])
+    probs, histories, encodings, bits = (
+        range(k * size, (k + 1) * size) for k in range(4)
+    )
+    code, made = analysis._fold(
+        50, (prob, probs), (None, (Verdict.CLEAN,)), (encoding, bits),
+        (checking, histories), (encoding, encodings), make=analysis._leaf,
+    )
+    leaves = list(map(made.__getitem__, code.tolist()))
+    want = [
+        analysis.SessionLeaf(probs[p], Verdict.CLEAN, bits[e], histories[c], encodings[e])
+        for p, c, e in zip(prob.tolist(), checking.tolist(), encoding.tolist())
+    ]
+    assert leaves == want
+    assert all(type(leaf) is analysis.SessionLeaf for leaf in leaves)
+    assert len(made) == len(set(leaves)) == 30
+    assert len({id(leaf) for leaf in leaves}) == 30
 
 
 # Every strategy x predicate x target cell at two groups, and the cheap
