@@ -487,11 +487,11 @@ def _fold(
             distinct, code = np.unique(code * len(values) + column, return_inverse=True)
             count = len(distinct)
     # Rows of one code hold equal values: build each tuple from any one.
-    first = np.empty(count, dtype=np.intp)
-    first[code] = np.arange(n)
+    row_of = np.empty(count, dtype=np.intp)
+    row_of[code] = np.arange(n)
     return code, list(map(make, zip(*(
         repeat(values[0], count) if column is None
-        else map(values.__getitem__, column[first].tolist())
+        else map(values.__getitem__, column[row_of].tolist())
         for column, values in columns
     ))))
 
@@ -565,9 +565,9 @@ def enumerate_session_leaves(
                                     (chk.bob, BELL_KINDS), (chk.passed, (False, True)))
     encoded_code, encodings = _rows(n, enc.group, (enc.alice, BELL_KINDS), (enc.bob, BELL_KINDS))
     # Rows of one encoding history decode alike: decode one row of each.
-    first = np.empty(len(encodings), dtype=np.intp)
-    first[encoded_code] = np.arange(n)
-    bits = protocol.decode_message(enc.bob[:, first], enc.alice[:, first]) if len(enc) else [""]
+    row_of = np.empty(len(encodings), dtype=np.intp)
+    row_of[encoded_code] = np.arange(n)
+    bits = protocol.decode_message(enc.bob[:, row_of], enc.alice[:, row_of]) if len(enc) else [""]
 
     def leaves_of(weights, *fields):
         # One leaf per distinct (weight, *fields) row, shared by its rows.
