@@ -17,15 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import qcore
 from .bellmap import EncodingOp, invert_encoding
-from .protocol import Group, Register, SessionConfig, prepare_registers
 from .qcore import BellKind
+
+if TYPE_CHECKING:
+    from .protocol import Group, Register
 
 
 @unique
@@ -138,22 +139,6 @@ def apply_attack(
         else:
             raise ValueError(f"unhandled strategy {strategy}")
     return register
-
-
-@lru_cache(maxsize=None)
-def attack_footprint(strategy: AttackStrategy) -> tuple[int, int]:
-    """Uniforms drawn and fresh qubit ids allocated per group by
-    ``strategy``, counted by running its attack once on one group.
-
-    Every strategy treats each group alike, so a session of G groups
-    draws G times as many, group after group.  The one-row source counts
-    the uniforms it hands out; which outcomes they pick does not matter.
-    """
-    source = qcore.TrialStreams(0, 0, 1)
-    register, groups = prepare_registers(SessionConfig(n_groups=1, n_checking=1))
-    apply_attack(strategy, register, groups, source, EveMemory())
-    # the group holds ids 1-4, so Eve's ids start at 5
-    return source._drawn, register.allocate(1)[0] - 5
 
 
 def finalize_attack(

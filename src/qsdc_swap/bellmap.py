@@ -212,7 +212,8 @@ def is_correlated(
     Outcomes come as two ``BellKind`` members, with ``op`` an
     ``EncodingOp``, or as int arrays indexing BELL_KINDS, with ``op`` an
     ``EncodingOp`` or int array indexing ENCODING_OPS, which give one bool
-    per trial.  Any other mix raises a ValueError naming the argument.
+    per trial.  Any other mix, or an index outside 0..3, raises a
+    ValueError naming the argument.
     """
     if isinstance(bob, BellKind) or isinstance(alice, BellKind):
         if isinstance(op, EncodingOp) and isinstance(bob, BellKind) and isinstance(alice, BellKind):
@@ -226,9 +227,14 @@ def is_correlated(
     if isinstance(op, EncodingOp):
         op = ENCODING_OPS.index(op)
     for name, value in (("op", op), ("bob", bob), ("alice", alice)):
-        if np.asarray(value).dtype.kind not in "iu":
+        index = np.asarray(value)
+        in_range = index.dtype.kind in "iu" and (
+            # A negative index views as a huge unsigned one: one max checks both ends.
+            index.astype(np.intp, copy=False).view(np.uintp).max(initial=0) <= 3
+        )
+        if not in_range:
             raise ValueError(
                 f"is_correlated with index outcomes needs {name} to be an int "
-                f"index array, got {value!r}"
+                f"index array in 0..3, got {value!r}"
             )
     return _decode_map()[bob, alice] == op

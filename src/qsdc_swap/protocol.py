@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import qcore
+from .adversary import AttackStrategy, EveMemory, apply_attack
 from .bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp, invert_encoding, is_correlated
 from .qcore import BELL_KINDS, BellKind, StateVector
 
@@ -59,7 +60,6 @@ class GroupRole(Enum):
 class Verdict(Enum):
     CLEAN = "clean"
     EVE_DETECTED = "eve-detected"
-    ABORTED = "aborted"
 
 
 @unique
@@ -455,9 +455,8 @@ def decode_message(bob: np.ndarray, alice: np.ndarray) -> str | list[str]:
     return list(map("".join, words.T.tolist()))
 
 
-# A group's role in a transcript's group table is a code indexing ROLES;
-# None marks a group no partition has assigned.
-ROLES = (None, GroupRole.CHECKING, GroupRole.ENCODING)
+# A group's role in a transcript's group table is a code indexing ROLES.
+ROLES = (GroupRole.CHECKING, GroupRole.ENCODING)
 _CHECKING_ROLE, _ENCODING_ROLE = ROLES.index(GroupRole.CHECKING), ROLES.index(GroupRole.ENCODING)
 
 
@@ -497,9 +496,9 @@ class _Column(NamedTuple):
 
 
 def _coded(members: Sequence) -> _Column:
-    """A column of enum members, or None, held as indices into ``members``
-    and written as their values."""
-    values = [None if m is None else m.value for m in members]
+    """A column of enum members, held as indices into ``members`` and
+    written as their values."""
+    values = [m.value for m in members]
     codes = {value: code for code, value in enumerate(values)}
 
     def load(items: Sequence) -> np.ndarray:
@@ -692,7 +691,23 @@ def _field(entry, key: str, where: str, check):
     return value
 
 
-def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
+@lru_cache(maxsize=None)
+def attack_footprint(strategy: AttackStrategy) -> tuple[int, int]:
+    """Uniforms drawn and fresh qubit ids allocated per group by
+    ``strategy``, counted by running its attack once on one group.
+
+    Every strategy treats each group alike, so a session of G groups
+    draws G times as many, group after group.  The one-row source counts
+    the uniforms it hands out; which outcomes they pick does not matter.
+    """
+    source = qcore.TrialStreams(0, 0, 1)
+    register = _pair_register(1)
+    apply_attack(strategy, register, build_groups(1), source, EveMemory())
+    # the group holds ids 1-4, so Eve's ids start at 5
+    return source._drawn, register.allocate(1)[0] - 5
+
+
+def run_session(cfg: SessionConfig, strategy=AttackStrategy.NONE) -> SessionTranscript:
     """One full session with an optional adversary on the travel channel.
 
     The adversary acts once, after preparation and before Alice's receipt
@@ -702,21 +717,13 @@ def run_session(cfg: SessionConfig, strategy=None) -> SessionTranscript:
     the order that running the groups one at a time would consume them
     (README, Determinism), so the transcript is the one-at-a-time one.
     """
-    from . import adversary
-
-    if strategy is None:
-        strategy = adversary.AttackStrategy.NONE
     n = cfg.n_groups
     rng = qcore.make_rng(cfg.seed)
-    draws, fresh = adversary.attack_footprint(strategy)
+    draws, fresh = attack_footprint(strategy)
 
     register, (template,) = _pair_register(1), build_groups(1)
-    adversary.apply_attack(
-        strategy,
-        register,
-        [template],
-        qcore.Uniforms(rng.random((n, draws))),
-        adversary.EveMemory(),
+    apply_attack(
+        strategy, register, [template], qcore.Uniforms(rng.random((n, draws))), EveMemory()
     )
     mask = partition_groups(n, cfg.n_checking, rng)
     groups = _group_table(mask, template.alice_qubits, fresh)

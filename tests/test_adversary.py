@@ -8,12 +8,11 @@ from qsdc_swap.adversary import (
     AttackStrategy,
     EveMemory,
     apply_attack,
-    attack_footprint,
     eve_guess_bits,
     finalize_attack,
 )
 from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp, apply_encoding, is_correlated
-from qsdc_swap.protocol import Group, Register, build_groups
+from qsdc_swap.protocol import Group, Register, attack_footprint, build_groups
 from qsdc_swap.qcore import (
     BELL_KINDS,
     BellKind,

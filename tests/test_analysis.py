@@ -227,31 +227,32 @@ def test_session_leaf_grid_digest_is_frozen():
 
 
 def test_rows_match_per_row_tuples_past_an_int64_joint_code():
-    # Ten groups of 128 records each: one joint code would need 128**10,
-    # past int64, and rows differing in only the first or the last group
-    # collide when such a code wraps.
+    # Ten groups that each hold all 128 possible records, one per base row:
+    # one joint code over them would need 128**10 = 2**70, past int64, and
+    # rows differing in only the first or the last group collide when such
+    # a code wraps.
     rng = np.random.default_rng(5)
     radix, groups = (4, 4, 4, 2), np.arange(3, 13)
-    base = rng.integers(0, 128, size=(10, 10))
-    first, last = base.copy(), base.copy()
+    base = np.array([rng.permutation(128) for _ in groups])
+    first, last = base[:, :10].copy(), base[:, :10].copy()
     first[0] = (first[0] + 64) % 128
     last[-1] = (last[-1] + 64) % 128
     codes = np.hstack([base, first, last])
-    codes = np.hstack([codes, codes[:, rng.integers(0, 30, size=20)]])
+    codes = np.hstack([codes, codes[:, rng.integers(0, 148, size=20)]])
     values = (ENCODING_OPS, BELL_KINDS, BELL_KINDS, (False, True))
     columns = np.unravel_index(codes, radix)
-    code, histories = analysis._rows(50, groups, *zip(columns, values))
+    code, histories = analysis._rows(168, groups, *zip(columns, values))
     rows = list(map(histories.__getitem__, code.tolist()))
     want = [
         tuple(
             (int(g), *(v[c[k, i]] for v, c in zip(values, columns)))
             for k, g in enumerate(groups)
         )
-        for i in range(50)
+        for i in range(168)
     ]
     assert rows == want
-    assert len(set(rows)) == 30
-    assert len({id(row) for row in rows}) == 30
+    assert len(set(rows)) == 148
+    assert len({id(row) for row in rows}) == 148
     records = [record for row in rows for record in row]
     assert len({id(record) for record in records}) == len(set(records))
 
@@ -399,30 +400,35 @@ def _session_cell(verdict: Verdict, decoded: str, bits: str) -> int:
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_sampled_sessions_match_enumerated_leaves(strategy):
-    # Seeded two-group sessions with one checking group, split by which
-    # group the partition drew, against the session enumerator checking
-    # that group: a G-test over the three outcome cells.
+    # Seeded two-group sessions with one checking group, under each
+    # predicate and split by which group the partition drew, against the
+    # session enumerator checking that group: no session in a cell the
+    # enumerator rules out, and a G-test over the three outcome cells.
     bits, sessions = "10", 400
-    observed = {1: np.zeros(3), 2: np.zeros(3)}
-    for seed in range(sessions):
-        transcript = run_session(SessionConfig(2, 1, bits, seed=seed), strategy)
-        (checked,) = transcript.checking.group.tolist()
-        cell = _session_cell(transcript.verdict, transcript.decoded_bits, bits)
-        observed[checked][cell] += 1
-    for checked in (1, 2):
-        exact = np.zeros(3)
-        for leaf in enumerate_session_leaves(2, [checked], strategy, message_bits=bits):
-            exact[_session_cell(leaf.verdict, leaf.decoded_bits, bits)] += leaf.prob
-        assert abs(exact.sum() - 1.0) < 1e-9
-        counts = observed[checked]
-        assert counts.sum() > sessions / 4
-        possible = exact > 1e-12
-        assert not counts[~possible].any()
-        if possible.sum() > 1:
-            test = power_divergence(
-                counts[possible], exact[possible] * counts.sum(), lambda_="log-likelihood"
-            )
-            assert test.pvalue > 1e-3, (checked, counts, exact)
+    for predicate in PREDICATES:
+        observed = {1: np.zeros(3), 2: np.zeros(3)}
+        for seed in range(sessions):
+            cfg = SessionConfig(2, 1, bits, predicate=predicate, seed=seed)
+            transcript = run_session(cfg, strategy)
+            (checked,) = transcript.checking.group.tolist()
+            cell = _session_cell(transcript.verdict, transcript.decoded_bits, bits)
+            observed[checked][cell] += 1
+        for checked in (1, 2):
+            exact = np.zeros(3)
+            for leaf in enumerate_session_leaves(
+                2, [checked], strategy, message_bits=bits, predicate=predicate
+            ):
+                exact[_session_cell(leaf.verdict, leaf.decoded_bits, bits)] += leaf.prob
+            assert abs(exact.sum() - 1.0) < 1e-9
+            counts = observed[checked]
+            assert counts.sum() > sessions / 4
+            possible = exact > 1e-12
+            assert not counts[~possible].any(), (predicate, checked, counts, exact)
+            if possible.sum() > 1:
+                test = power_divergence(
+                    counts[possible], exact[possible] * counts.sum(), lambda_="log-likelihood"
+                )
+                assert test.pvalue > 1e-3, (predicate, checked, counts, exact)
 
 
 @pytest.mark.parametrize("predicate", PREDICATES)

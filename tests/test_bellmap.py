@@ -182,6 +182,12 @@ def test_decode_round_trips_all_pairs():
         ("u0", np.array([0]), np.array([0]), "op"),
         (EncodingOp.U0, np.array(["phi+"]), np.array([0]), "bob"),
         (EncodingOp.U0, np.array([0]), np.array([0.0]), "alice"),
+        (7, np.array([0, 3]), np.array([0, 3]), "op"),
+        (-4, np.array([0]), np.array([0]), "op"),
+        (np.array([0, 4]), np.array([0, 0]), np.array([0, 0]), "op"),
+        (0, np.array([-1]), np.array([3]), "bob"),
+        (EncodingOp.U0, np.array([2**63], dtype=np.uint64), np.array([0]), "bob"),
+        (EncodingOp.U0, np.array([0]), np.array([4], dtype=np.int8), "alice"),
     ],
 )
 def test_is_correlated_rejects_mixed_forms(op, bob, alice, named):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from qsdc_swap import protocol, qcore
-from qsdc_swap.adversary import AttackStrategy, attack_footprint
+from qsdc_swap.adversary import AttackStrategy
 from qsdc_swap.analysis import enumerate_session_leaves, monte_carlo
 from qsdc_swap.bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp
 from qsdc_swap.protocol import (
@@ -26,6 +26,7 @@ from qsdc_swap.protocol import (
     UNIFORM_POLICY,
     SessionTranscript,
     Verdict,
+    attack_footprint,
     build_groups,
     check_passes,
     decode_message,
@@ -251,6 +252,8 @@ def test_transcript_bad_bell_kind_is_named():
         ("groups[0].bob", "ab"),
         ("groups[2].alice", [10, 12, 13]),
         ("groups[2].alice", [10, False]),
+        ("groups[1].role", None),
+        ("verdict", "aborted"),
         ("decoded_bits", "01x1"),
         ("decoded_bits", 111),
     ],
@@ -660,3 +663,4 @@ def test_session_properties(session):
     assert transcript.redecode() == transcript.decoded_bits
     text = transcript.to_json()
     assert SessionTranscript.from_json_dict(json.loads(text)).to_json() == text
+
