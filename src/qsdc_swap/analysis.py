@@ -395,8 +395,14 @@ def detection_from_swap_algebra(
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
 ) -> float:
     """Per-group detection probability computed from the cached swap and
-    encoding tables alone; second, amplitude-free route for cross-checks."""
-    check_member(DetectionPredicate, predicate)
+    encoding tables alone; second, amplitude-free route for cross-checks.
+
+    A group fails when its joint outcome lies outside the correlation
+    column of the announced op (U0's under strict-u0).  The route reads
+    those columns from ``correlation_table()`` itself and shares no check
+    code with the tree route, only bellmap's tables.
+    """
+    strict = check_member(DetectionPredicate, predicate) is DetectionPredicate.STRICT_U0
     first = check_member(EncodeTarget, encode_target) is EncodeTarget.FIRST_TRAVEL_PHOTON
     base = swap_decompose(_PSI, _PSI)
     weights = policy_weights(UNIFORM_POLICY if policy is None else policy)
@@ -445,9 +451,8 @@ def detection_from_swap_algebra(
                 joint.append(((bob, apply_encoding(op, travel)), 0.125))
         else:
             raise ValueError(f"unhandled strategy {strategy}")
-        total += w * sum(
-            p for (bob, alice), p in joint if not check_passes(predicate, op, bob, alice)
-        )
+        column = correlation_table()[EncodingOp.U0 if strict else op]
+        total += w * sum(p for pair, p in joint if pair not in column)
     return total
 
 

@@ -9,8 +9,10 @@ support alone: measurement statistics depend on squared magnitudes.
 
 One decoding table, derived from ``correlation_table()``, holds the
 correlation decision: the op each joint (receiver, sender) outcome decodes
-to.  Bob's check (``is_correlated``), his decoding (``decode_op``,
-``invert_encoding``) and Eve's guess all read it.
+to.  It has one reader per outcome form: ``decode_op`` for ``BellKind``
+members and ``invert_encoding`` for int codes, which it range-checks.
+Bob's check (``is_correlated``), his message decoding and Eve's guess take
+codes, so they all go through ``invert_encoding``.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class SwapTable:
     joint outcome (kind on (1,3), kind on (2,4)) to its real coefficient.
     """
 
-    initial: tuple[BellKind, BellKind]
     coeffs: Mapping[tuple[BellKind, BellKind], float]
 
     def support(self) -> frozenset[tuple[BellKind, BellKind]]:
@@ -128,7 +129,7 @@ def swap_decompose(k12: BellKind, k34: BellKind) -> SwapTable:
             if abs(c.imag) > _COEFF_TOL:
                 raise AssertionError(f"swap coefficient {c} is not real")
             coeffs[(bob, alice)] = float(c.real)
-    return SwapTable((k12, k34), MappingProxyType(coeffs))
+    return SwapTable(MappingProxyType(coeffs))
 
 
 def swap_support_rule(k12: BellKind, k34: BellKind) -> frozenset[tuple[BellKind, BellKind]]:
@@ -192,49 +193,37 @@ def decode_op(bob: BellKind, alice: BellKind) -> EncodingOp:
     return ENCODING_OPS[_decode_map()[BELL_KINDS.index(bob), BELL_KINDS.index(alice)]]
 
 
+def _codes(name: str, value) -> np.ndarray:
+    """``value`` as an int array of codes in 0..3 (indices into BELL_KINDS
+    or ENCODING_OPS); a ValueError naming ``name`` for anything else."""
+    codes = np.asarray(value)
+    if codes.dtype.kind in "iu":
+        # A negative code views as a huge unsigned one: one max checks both ends.
+        if codes.astype(np.intp, copy=False).view(np.uintp).max(initial=0) <= 3:
+            return codes
+    raise ValueError(f"decoding needs {name} to be an int index array in 0..3, got {value!r}")
+
+
 def invert_encoding(bob: np.ndarray, alice: np.ndarray) -> np.ndarray:
     """``decode_op`` on int arrays indexing BELL_KINDS: an int array
-    indexing ENCODING_OPS, one op per trial.
+    indexing ENCODING_OPS, one op per trial.  A code outside 0..3 or a
+    non-integer array raises a ValueError naming the argument.
 
     Column ``op`` holds ``(kind, apply_encoding(op, kind))`` for every
     kind, so the decoded op is also the one that carries ``bob``'s kind
     onto ``alice``'s.
     """
-    return _decode_map()[bob, alice]
+    return _decode_map()[_codes("bob", bob), _codes("alice", alice)]
 
 
-def is_correlated(
-    op: EncodingOp | np.ndarray, bob: BellKind | np.ndarray, alice: BellKind | np.ndarray
-) -> bool | np.ndarray:
+def is_correlated(op: np.ndarray, bob: np.ndarray, alice: np.ndarray) -> np.ndarray:
     """Whether the joint outcome lies in the correlation column of ``op``,
-    that is, whether it decodes to ``op``.
+    that is, whether it decodes to ``op``: one bool per trial.
 
-    Outcomes come as two ``BellKind`` members, with ``op`` an
-    ``EncodingOp``, or as int arrays indexing BELL_KINDS, with ``op`` an
-    ``EncodingOp`` or int array indexing ENCODING_OPS, which give one bool
-    per trial.  Any other mix, or an index outside 0..3, raises a
-    ValueError naming the argument.
+    ``op`` indexes ENCODING_OPS and ``bob`` and ``alice`` index BELL_KINDS,
+    as ints or int arrays; members go through ``decode_op(bob, alice) is
+    op``.  Anything else, or a code outside 0..3, raises a ValueError
+    naming the argument.
     """
-    if isinstance(bob, BellKind) or isinstance(alice, BellKind):
-        if isinstance(op, EncodingOp) and isinstance(bob, BellKind) and isinstance(alice, BellKind):
-            return decode_op(bob, alice) is op
-        forms = (("op", op, EncodingOp), ("bob", bob, BellKind), ("alice", alice, BellKind))
-        name, value, kind = next(form for form in forms if not isinstance(form[1], form[2]))
-        raise ValueError(
-            f"is_correlated with BellKind outcomes needs {name} to be a "
-            f"{kind.__name__}, got {value!r}"
-        )
-    if isinstance(op, EncodingOp):
-        op = ENCODING_OPS.index(op)
-    for name, value in (("op", op), ("bob", bob), ("alice", alice)):
-        index = np.asarray(value)
-        in_range = index.dtype.kind in "iu" and (
-            # A negative index views as a huge unsigned one: one max checks both ends.
-            index.astype(np.intp, copy=False).view(np.uintp).max(initial=0) <= 3
-        )
-        if not in_range:
-            raise ValueError(
-                f"is_correlated with index outcomes needs {name} to be an int "
-                f"index array in 0..3, got {value!r}"
-            )
-    return _decode_map()[bob, alice] == op
+    op = _codes("op", op)
+    return invert_encoding(bob, alice) == op

@@ -93,12 +93,12 @@ def check_member(kind: type[Enum], value):
 
 
 def check_passes(
-    predicate: DetectionPredicate, op: EncodingOp, bob: BellKind, alice: BellKind
-) -> bool:
-    """Bob's per-group comparison of announced and measured outcomes; one
-    bool per trial for batched outcomes."""
+    predicate: DetectionPredicate, op: np.ndarray, bob: np.ndarray, alice: np.ndarray
+) -> np.ndarray:
+    """Bob's per-group comparison of announced and measured outcomes, as
+    codes indexing ENCODING_OPS and BELL_KINDS: one bool per trial."""
     if check_member(DetectionPredicate, predicate) is DetectionPredicate.STRICT_U0:
-        op = EncodingOp.U0
+        op = ENCODING_OPS.index(EncodingOp.U0)
     return is_correlated(op, bob, alice)
 
 
@@ -645,13 +645,63 @@ class SessionTranscript:
     def from_json_dict(data: dict) -> "SessionTranscript":
         """Inverse of ``to_json_dict``, reading each column in one step.
         Malformed input raises ValueError naming the first missing or
-        invalid field."""
+        invalid field, and so does a transcript that no session writes
+        (``_check_session``)."""
         try:
             tables = [table.from_json(_records(data[name])) for name, table in _TABLES]
-            return SessionTranscript(*tables, Verdict(data["verdict"]), _bits(data["decoded_bits"]))
+            transcript = SessionTranscript(
+                *tables, Verdict(data["verdict"]), _bits(data["decoded_bits"])
+            )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             _name_bad_field(data)
             raise ValueError(f"transcript is invalid: {exc}") from None
+        _check_session(transcript)
+        return transcript
+
+
+def _check_session(transcript: SessionTranscript) -> None:
+    """Raise a ValueError naming a field unless the transcript's fields
+    agree as ``run_session`` writes them: one checking record per
+    checking-role group and, on a clean verdict only, one encoding record
+    per encoding-role group, each in index order; a clean verdict exactly
+    when every check passed; and ``decoded_bits`` the decoding of the
+    encoding records."""
+    groups, checking, encoding = transcript.groups, transcript.checking, transcript.encoding
+    order = groups.index.argsort(kind="stable")
+    index, checks = groups.index[order], groups.role[order] == _CHECKING_ROLE
+    _check_groups("checking", checking.group, index[checks])
+    clean = transcript.verdict is Verdict.CLEAN
+    if clean != checking.passed.all():
+        if clean:
+            raise ValueError(
+                f"transcript field 'checking[{checking.passed.argmin()}].passed' is "
+                "invalid: a failed check under a clean verdict"
+            )
+        raise ValueError(
+            f"transcript field 'verdict' is invalid: {transcript.verdict.value!r} "
+            "although every check passed"
+        )
+    _check_groups("encoding", encoding.group, index[~checks] if clean else index[:0])
+    decoded = decode_message(encoding.bob, encoding.alice)
+    if transcript.decoded_bits != decoded:
+        raise ValueError(
+            f"transcript field 'decoded_bits' is invalid: the encoding records "
+            f"decode to {decoded!r}"
+        )
+
+
+def _check_groups(name: str, got: np.ndarray, expected: np.ndarray) -> None:
+    """Raise a ValueError naming the first record of the ``name`` records
+    whose group is not the one ``expected`` lists there."""
+    if got.shape == expected.shape and (got == expected).all():
+        return
+    n = min(len(got), len(expected))
+    differ = np.flatnonzero(got[:n] != expected[:n])
+    i = int(differ[0]) if differ.size else n
+    want, have = (f"group {c[i]}" if i < len(c) else "no record" for c in (expected, got))
+    raise ValueError(
+        f"transcript field '{name}[{i}].group' is invalid: expected {want}, got {have}"
+    )
 
 
 def _records(value) -> list:

@@ -196,7 +196,7 @@ def test_criterion_08_ancilla_corrective():
     assert CORRECTIVE_OP is EncodingOp.U1
     # the restoration property itself is brute-forced in the adversary
     # tests; re-run the decisive slice here
-    from qsdc_swap.bellmap import is_correlated
+    from qsdc_swap.bellmap import decode_op
     from qsdc_swap.qcore import apply_cnot, apply_single, single_qubit
 
     base = compose(
@@ -219,9 +219,7 @@ def test_criterion_08_ancilla_corrective():
                 coded = apply_single(fixed, 4, op.matrix)
                 for alice_branch in bell_branches(coded, 2, 4):
                     for bob_branch in bell_branches(alice_branch.state, 1, 3):
-                        ok = ok and is_correlated(
-                            op, bob_branch.kind, alice_branch.kind
-                        )
+                        ok = ok and decode_op(bob_branch.kind, alice_branch.kind) is op
         if ok:
             restoring.append(candidate)
     assert restoring == [EncodingOp.U1]

@@ -11,7 +11,7 @@ from qsdc_swap.adversary import (
     eve_guess_bits,
     finalize_attack,
 )
-from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp, apply_encoding, is_correlated
+from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp, apply_encoding, decode_op
 from qsdc_swap.protocol import Group, Register, attack_footprint, build_groups
 from qsdc_swap.qcore import (
     BELL_KINDS,
@@ -190,7 +190,7 @@ def test_only_sign_flip_restores_minus_branches(travel_photon):
                 coded = apply_single(fixed, 4, op.matrix)
                 for alice_branch in bell_branches(coded, 2, 4):
                     for bob_branch in bell_branches(alice_branch.state, 1, 3):
-                        if not is_correlated(op, bob_branch.kind, alice_branch.kind):
+                        if decode_op(bob_branch.kind, alice_branch.kind) is not op:
                             restores = False
         assert restores == (candidate is CORRECTIVE_OP)
 

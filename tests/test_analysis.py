@@ -679,7 +679,7 @@ _NONE = AttackStrategy.NONE
 _BY_VALUE = {
     "SessionConfig predicate": lambda: SessionConfig(4, 4, seed=3, predicate="announced-op"),
     "SessionConfig target": lambda: SessionConfig(4, 4, seed=3, encode_target="first"),
-    "check_passes": lambda: check_passes("announced-op", EncodingOp.U0, 2, 2),
+    "check_passes": lambda: check_passes("announced-op", 0, 2, 2),
     "run_checking target": lambda: run_checking(
         *prepare_registers(SessionConfig(1, 1)), TrialStreams(0, 0, 1), encode_target="first"
     ),

@@ -19,6 +19,9 @@ from qsdc_swap.qcore import BELL_KINDS, BellKind, classify_bell
 
 KIND = {k.value: k for k in BELL_KINDS}
 OP = {op.value: op for op in ENCODING_OPS}
+# The int code of each kind and op, by value: their indices in BELL_KINDS
+# and ENCODING_OPS.
+CODE = {m.value: i for members in (BELL_KINDS, ENCODING_OPS) for i, m in enumerate(members)}
 
 
 def as_value_map(table):
@@ -126,14 +129,12 @@ def test_correlation_columns_partition_all_pairs():
     ],
 )
 def test_is_correlated_examples(op_name, bob, alice, expected):
-    assert is_correlated(OP[op_name], KIND[bob], KIND[alice]) is expected
+    assert is_correlated(CODE[op_name], CODE[bob], CODE[alice]).item() is expected
 
 
 def test_is_correlated_four_pairs_per_op():
-    for op in ENCODING_OPS:
-        hits = sum(
-            is_correlated(op, b, a) for b in BELL_KINDS for a in BELL_KINDS
-        )
+    for i in range(len(ENCODING_OPS)):
+        hits = sum(is_correlated(i, b, a) for b in range(4) for a in range(4))
         assert hits == 4
 
 
@@ -157,12 +158,12 @@ def test_decode_round_trips_all_pairs():
     codes = np.arange(4)
     bob_codes, alice_codes = np.repeat(codes, 4), np.tile(codes, 4)
     for i, op in enumerate(ENCODING_OPS):
-        batch = is_correlated(op, bob_codes, alice_codes)
+        batch = is_correlated(i, bob_codes, alice_codes)
         by_index = is_correlated(np.full(16, i), bob_codes, alice_codes)
         assert batch.tolist() == by_index.tolist()
         for row, (b, a) in enumerate(zip(bob_codes, alice_codes)):
             bob, alice = BELL_KINDS[b], BELL_KINDS[a]
-            scalar = is_correlated(op, bob, alice)
+            scalar = is_correlated(i, b, a).item()
             assert scalar is bool(batch[row])
             assert scalar == (invert_encoding(b, a) == i)
             assert scalar is (decode_op(bob, alice) is op)
@@ -174,25 +175,47 @@ def test_decode_round_trips_all_pairs():
 @pytest.mark.parametrize(
     "op,bob,alice,named",
     [
-        (EncodingOp.U1, BellKind.PHI_PLUS, 1, "alice"),
-        (EncodingOp.U1, 0, BellKind.PHI_MINUS, "bob"),
+        (1, 0, BellKind.PHI_PLUS, "alice"),
+        (1, BellKind.PHI_MINUS, 0, "bob"),
         ("u0", BellKind.PHI_PLUS, BellKind.PHI_PLUS, "op"),
-        (3, BellKind.PHI_PLUS, BellKind.PSI_MINUS, "op"),
-        (np.array([1]), BellKind.PHI_PLUS, BellKind.PHI_MINUS, "op"),
+        (3, BellKind.PHI_PLUS, BellKind.PSI_MINUS, "bob"),
+        (np.array([1]), BellKind.PHI_PLUS, BellKind.PHI_MINUS, "bob"),
         ("u0", np.array([0]), np.array([0]), "op"),
-        (EncodingOp.U0, np.array(["phi+"]), np.array([0]), "bob"),
-        (EncodingOp.U0, np.array([0]), np.array([0.0]), "alice"),
+        (0, np.array(["phi+"]), np.array([0]), "bob"),
+        (0, np.array([0]), np.array([0.0]), "alice"),
         (7, np.array([0, 3]), np.array([0, 3]), "op"),
         (-4, np.array([0]), np.array([0]), "op"),
         (np.array([0, 4]), np.array([0, 0]), np.array([0, 0]), "op"),
         (0, np.array([-1]), np.array([3]), "bob"),
-        (EncodingOp.U0, np.array([2**63], dtype=np.uint64), np.array([0]), "bob"),
-        (EncodingOp.U0, np.array([0]), np.array([4], dtype=np.int8), "alice"),
+        (0, np.array([2**63], dtype=np.uint64), np.array([0]), "bob"),
+        (0, np.array([0]), np.array([4], dtype=np.int8), "alice"),
+        # Members are decode_op's form: is_correlated takes codes only.
+        (EncodingOp.U0, np.array([0]), np.array([0]), "op"),
+        (EncodingOp.U1, BellKind.PHI_PLUS, BellKind.PHI_MINUS, "op"),
+        (0, BellKind.PHI_PLUS, BellKind.PHI_PLUS, "bob"),
+        (0, np.array([0]), BellKind.PHI_PLUS, "alice"),
+        (np.array([True]), np.array([0]), np.array([0]), "op"),
     ],
 )
-def test_is_correlated_rejects_mixed_forms(op, bob, alice, named):
+def test_is_correlated_rejects_all_but_index_codes(op, bob, alice, named):
     with pytest.raises(ValueError, match=f"needs {named} to be"):
         is_correlated(op, bob, alice)
+
+
+@pytest.mark.parametrize(
+    "bob,alice,named",
+    [
+        (np.array([-1, 2]), np.array([0, 2]), "bob"),
+        (np.array([0, 2]), np.array([0, 4]), "alice"),
+        (np.array([0.0]), np.array([0]), "bob"),
+        (np.array([0]), np.array([BellKind.PHI_PLUS]), "alice"),
+    ],
+)
+def test_decoders_reject_codes_outside_the_table(bob, alice, named):
+    # A negative code once wrapped: decode_message([-1, 2], [0, 2]) gave "1100".
+    for decode in (invert_encoding, decode_message):
+        with pytest.raises(ValueError, match=f"needs {named} to be"):
+            decode(bob, alice)
 
 
 def test_kind_labels_are_distinct():

@@ -269,6 +269,42 @@ def test_transcript_wrongly_typed_field_is_named(name, value):
         SessionTranscript.from_json_dict(doc)
 
 
+def _all_roles_checking(doc):
+    for group in doc["groups"]:
+        group["role"] = "checking"
+
+
+_UNWRITTEN = {
+    "eve-detected verdict, every check passed": (
+        lambda doc: doc.update(verdict="eve-detected"), "verdict"
+    ),
+    "every role checking": (_all_roles_checking, "checking[1].group"),
+    "checking record for group 99": (
+        lambda doc: doc["checking"].append(dict(doc["checking"][0], group=99)),
+        "checking[1].group",
+    ),
+    "decoded bits the records do not decode to": (
+        lambda doc: doc.update(decoded_bits="0000"), "decoded_bits"
+    ),
+    "duplicated encoding record": (
+        lambda doc: doc["encoding"].append(dict(doc["encoding"][-1])), "encoding[2].group"
+    ),
+    "flipped passed": (
+        lambda doc: doc["checking"][0].update(passed=False), "checking[0].passed"
+    ),
+}
+
+
+@pytest.mark.parametrize(("edit", "name"), _UNWRITTEN.values(), ids=_UNWRITTEN.keys())
+def test_transcript_no_session_writes_is_rejected(edit, name):
+    """Each field is well formed alone, but no session writes them together."""
+    doc = run_session(cfg(3, 1, bits="0111", seed=21)).to_json_dict()
+    assert SessionTranscript.from_json_dict(doc).decoded_bits == "0111"
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(f"'{name}' is invalid")):
+        SessionTranscript.from_json_dict(doc)
+
+
 def test_transcript_names_first_bad_field_in_record_order():
     doc = run_session(cfg(3, 1, bits="0111", seed=21)).to_json_dict()
     doc["groups"][2]["index"] = "3"
@@ -329,15 +365,11 @@ def test_session_config_seed_must_be_a_key_word(seed):
 
 def test_check_passes_predicates():
     # honestly encoded pair under u2: receiver psi+, sender phi+
-    assert check_passes(
-        DetectionPredicate.ANNOUNCED_OP, EncodingOp.U2, KIND["psi+"], KIND["phi+"]
-    )
-    assert not check_passes(
-        DetectionPredicate.STRICT_U0, EncodingOp.U2, KIND["psi+"], KIND["phi+"]
-    )
-    assert check_passes(
-        DetectionPredicate.STRICT_U0, EncodingOp.U2, KIND["psi+"], KIND["psi+"]
-    )
+    u2 = ENCODING_OPS.index(EncodingOp.U2)
+    psi_plus, phi_plus = BELL_KINDS.index(KIND["psi+"]), BELL_KINDS.index(KIND["phi+"])
+    assert check_passes(DetectionPredicate.ANNOUNCED_OP, u2, psi_plus, phi_plus)
+    assert not check_passes(DetectionPredicate.STRICT_U0, u2, psi_plus, phi_plus)
+    assert check_passes(DetectionPredicate.STRICT_U0, u2, psi_plus, psi_plus)
 
 
 def test_encode_target_first_photon_round_trip():
