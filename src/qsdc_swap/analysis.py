@@ -65,9 +65,11 @@ DEFAULT_NODE_BUDGET = 1_000_000
 
 # Monte Carlo trials pushed through the round as one batch: the published
 # sweep's 2000 trials per strategy are one batch, and the cap keeps a large
-# --trials from allocating without bound.  `--mode sweep --trials 20000
-# --seed 4` by chunk size (in-process median time, 2-vCPU Xeon, Python
-# 3.11, numpy 2.4; peak RSS of the whole command):
+# --trials from allocating state arrays without bound (a sweep's
+# ``SharedDraws`` still keep 64 B per trial).  `--mode sweep --trials 20000
+# --seed 4` by chunk size, measured before the strategies shared their
+# draws (in-process median time, 2-vCPU Xeon, Python 3.11, numpy 2.4; peak
+# RSS of the whole command):
 #
 #   MC_CHUNK   sweep time   peak RSS
 #     1024       167 ms     32.0 MB
@@ -626,6 +628,25 @@ class MonteCarloResult:
         return 3.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / self.trials)
 
 
+class SharedDraws:
+    """Each Monte Carlo chunk's ``qcore.TrialStreams`` for one seed, kept
+    while this object lives, so that every ``monte_carlo`` call given it
+    reads the blocks of draws the first reader of a chunk computed.  A
+    sweep holds one for its six strategies; the kept blocks cost 32 bytes
+    per trial for each block of four draws that any strategy reads."""
+
+    def __init__(self, seed: int):
+        self.seed = qcore.check_seed(seed)
+        self._chunks: dict[tuple[int, int], qcore.TrialStreams] = {}
+
+    def chunk(self, start: int, stop: int) -> qcore.TrialStreams:
+        """A reader from draw 0 of the streams ``[start, stop)``."""
+        held = self._chunks.get((start, stop))
+        if held is None:
+            held = self._chunks[start, stop] = qcore.TrialStreams(self.seed, start, stop)
+        return held.reread()
+
+
 def _check_trials(trials: int, least: int) -> int:
     """``trials`` as an int if it is an integer of at least ``least``, else
     a ValueError naming it."""
@@ -642,6 +663,8 @@ def monte_carlo(
     seed: int,
     policy: Mapping[EncodingOp, float] | None = None,
     encode_target: EncodeTarget = EncodeTarget.SECOND_TRAVEL_PHOTON,
+    *,
+    draws: SharedDraws | None = None,
 ) -> MonteCarloResult:
     """Sampled single-group checking rounds through the live protocol and
     adversary stack, the round that ``group_leaves`` enumerates.
@@ -650,14 +673,20 @@ def monte_carlo(
     trials run in chunks of ``MC_CHUNK``: each chunk is one batched
     register pushed once through the round, and ``qcore.TrialStreams``
     hands every trial exactly its own stream's draws, so the counts do not
-    depend on the chunk size.
+    depend on the chunk size.  Each chunk's streams are fresh by default.
+    Given ``draws`` (of the same seed), a chunk rereads the blocks that an
+    earlier call with the same ``draws`` computed; every strategy reads
+    the same draws, so the counts are the same either way.
     """
     trials = _check_trials(trials, 1)
     qcore.check_seed(seed)
+    if draws is not None and draws.seed != seed:
+        raise ValueError(f"draws hold seed {draws.seed}, not {seed}")
     cfg = _one_group_config(policy, encode_target)
     failures = {pred: 0 for pred in DetectionPredicate}
     for start in range(0, trials, MC_CHUNK):
-        rng = qcore.TrialStreams(seed, start, min(start + MC_CHUNK, trials))
+        stop = min(start + MC_CHUNK, trials)
+        rng = qcore.TrialStreams(seed, start, stop) if draws is None else draws.chunk(start, stop)
         *_, chk = _session_round(cfg, strategy, {1}, rng)
         for pred in DetectionPredicate:
             passed = check_passes(pred, chk.op, chk.bob, chk.alice)
@@ -883,14 +912,16 @@ def leakage_report(strategy: AttackStrategy) -> dict:
 def sweep_report(trials: int, seed: int | None) -> dict:
     """All strategies under both predicates, exact figures beside the
     claimed reference values; each strategy's Monte Carlo run and leaf set
-    are computed once and shared by both predicates' rows.  ``seed`` is
+    are computed once and shared by both predicates' rows, and every
+    strategy reads the same computed draws (``SharedDraws``).  ``seed`` is
     recorded as given: None when ``trials`` is 0 and nothing is sampled."""
     trials = _check_trials(trials, 0)
     if trials > 0 and seed is None:
         raise ValueError("sampling requires a seed")
+    draws = SharedDraws(seed) if trials > 0 else None
     rows = []
     for strategy in AttackStrategy:
-        mc = monte_carlo(strategy, trials, seed) if trials > 0 else None
+        mc = monte_carlo(strategy, trials, seed, draws=draws) if trials > 0 else None
         leaves = group_leaves(strategy)
         for predicate in DetectionPredicate:
             rows.append(_report_row(strategy, predicate, leaves, mc, seed if mc else None))

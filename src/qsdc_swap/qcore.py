@@ -70,6 +70,7 @@ product, and real-part rewrites of the probabilities.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum, unique
@@ -649,7 +650,10 @@ class TrialStreams:
 
     The k-th call of ``random()`` returns, as a float array of length
     ``stop - start``, the value each trial's own generator returns on its
-    k-th ``random()`` call.  Blocks of four draws are computed on demand.
+    k-th ``random()`` call.  Blocks of four draws are computed on demand
+    and kept, read-only, 32 bytes per trial per block; ``reread()`` gives
+    a second reader that starts again from draw 0 over the same blocks,
+    so readers of one range compute each block once between them.
     """
 
     def __init__(self, seed: int, start: int, stop: int):
@@ -658,18 +662,27 @@ class TrialStreams:
         self.seed = check_seed(seed)
         self.streams = np.arange(start, stop, dtype=np.uint64)
         self._drawn = 0
-        self._block: np.ndarray | None = None  # uniforms of the current block
+        self._blocks: list[np.ndarray] = []  # uniforms of each block so far, shared
 
     def __len__(self) -> int:
         return self.streams.shape[0]
 
     def random(self) -> np.ndarray:
         block, j = divmod(self._drawn, 4)
-        if j == 0:
+        if block == len(self._blocks):
             raw = philox_block(self.seed, self.streams, block)
-            self._block = (raw >> _SHIFT53) * _TWO_POW_M53
+            uniforms = (raw >> _SHIFT53) * _TWO_POW_M53
+            uniforms.flags.writeable = False
+            self._blocks.append(uniforms)
         self._drawn += 1
-        return self._block[:, j]
+        return self._blocks[block][:, j]
+
+    def reread(self) -> TrialStreams:
+        """A reader of the same streams from draw 0, sharing this reader's
+        blocks: a block either one computes is computed once for both."""
+        other = copy.copy(self)
+        other._drawn = 0
+        return other
 
     def choose(self, probs) -> np.ndarray:
         return _choose_each(self.random(), probs)

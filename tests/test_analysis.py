@@ -13,6 +13,7 @@ from qsdc_swap import adversary, analysis, qcore
 from qsdc_swap.adversary import AttackStrategy
 from qsdc_swap.analysis import (
     EnumerationBudgetError,
+    SharedDraws,
     detection_from_swap_algebra,
     detection_report,
     enumerate_session_leaves,
@@ -38,7 +39,7 @@ from qsdc_swap.protocol import (
     run_session,
     single_op_policy,
 )
-from qsdc_swap.qcore import BELL_KINDS, TrialStreams
+from qsdc_swap.qcore import BELL_KINDS, TrialStreams, make_rng, philox_block
 
 STRATEGIES = list(AttackStrategy)
 PREDICATES = list(DetectionPredicate)
@@ -457,8 +458,11 @@ def test_failed_checks_at_33_groups_are_binomial(strategy, predicate):
         assert test.pvalue > 1e-3, (counts, p)
 
 
-def test_node_budget_enforced(monkeypatch):
-    monkeypatch.setenv(analysis.NODE_BUDGET_ENV, "5")
+@pytest.mark.parametrize("budget", ["5", "1"])
+def test_node_budget_enforced(budget, monkeypatch):
+    # 1 is the smallest budget: an enumeration outgrows it, and it is not
+    # rejected as a bad budget
+    monkeypatch.setenv(analysis.NODE_BUDGET_ENV, budget)
     with pytest.raises(EnumerationBudgetError):
         enumerate_session_leaves(2, [1, 2], AttackStrategy.REPLACE_MEASURE_BEFORE)
     monkeypatch.delenv(analysis.NODE_BUDGET_ENV)
@@ -539,6 +543,13 @@ def test_detection_report_requires_seed_for_sampling():
         detection_report(AttackStrategy.NONE, trials=10, seed=None)
     with pytest.raises(ValueError, match="sampling requires a seed"):
         sweep_report(trials=10, seed=None)
+
+
+def test_one_trial_is_sampled():
+    doc = detection_report(AttackStrategy.NONE, trials=1, seed=4)
+    assert doc["trials"] == 1 and doc["p_mc"] is not None
+    for row in sweep_report(trials=1, seed=4)["rows"]:
+        assert row["trials"] == 1 and row["p_mc"] is not None
 
 
 def test_sweep_report_and_csv():
@@ -626,6 +637,62 @@ def test_monte_carlo_counts_do_not_depend_on_chunk_size(strategy, monkeypatch):
     reference = monte_carlo(strategy, 100, seed=3)
     monkeypatch.setattr(analysis, "MC_CHUNK", 7)
     assert monte_carlo(strategy, 100, seed=3) == reference
+
+
+# ---------------------------------------------------------------------------
+# a sweep's strategies share their draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("chunk, trials", [(None, 2000), (7, 100)])
+def test_sweep_rows_match_monte_carlo_run_alone(chunk, trials, monkeypatch):
+    if chunk is not None:  # 100 trials in chunks of 7 end in a partial chunk
+        monkeypatch.setattr(analysis, "MC_CHUNK", chunk)
+    report = sweep_report(trials, seed=4)
+    alone = {s: monte_carlo(s, trials, seed=4) for s in STRATEGIES}
+    assert len(report["rows"]) == len(STRATEGIES) * len(PREDICATES)
+    for row in report["rows"]:
+        mc = alone[AttackStrategy(row["strategy"])]
+        assert row["p_mc"] == mc.p_hat(DetectionPredicate(row["predicate"]))
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_shared_draws_do_not_depend_on_strategy_order(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(analysis, "MC_CHUNK", chunk)
+    forward, backward = SharedDraws(11), SharedDraws(11)
+    ahead = {s: monte_carlo(s, 100, 11, draws=forward) for s in STRATEGIES}
+    behind = {s: monte_carlo(s, 100, 11, draws=backward) for s in reversed(STRATEGIES)}
+    assert ahead == behind
+
+
+def test_shared_blocks_are_read_only():
+    draws = SharedDraws(3)
+    first = draws.chunk(0, 10).random()
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.5
+    # a later strategy's reader starts over the same, unchanged draws
+    later = draws.chunk(0, 10).random()
+    assert later.tolist() == [make_rng(3, t).random() for t in range(10)]
+    np.testing.assert_array_equal(later, first)
+
+
+def test_sweep_computes_each_block_once(monkeypatch):
+    blocks = []
+
+    def counted(seed, streams, block):
+        blocks.append(block)
+        return philox_block(seed, streams, block)
+
+    monkeypatch.setattr(qcore, "philox_block", counted)
+    sweep_report(trials=2000, seed=4)
+    # block 0 serves all six strategies, block 1 only replace-before
+    assert blocks == [0, 1]
+
+
+def test_monte_carlo_rejects_draws_of_another_seed():
+    with pytest.raises(ValueError, match="draws hold seed 3, not 4"):
+        monte_carlo(AttackStrategy.NONE, 10, seed=4, draws=SharedDraws(3))
 
 
 @pytest.mark.parametrize("trials", [True, 2.5])

@@ -143,6 +143,15 @@ def test_sweep_without_trials_records_no_seed(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_sweep_samples_one_trial(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert run_cli("--mode", "sweep", "--trials", "1", "--seed", "4", "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["trials"] == 1
+    for row in doc["rows"]:
+        assert row["trials"] == 1 and row["p_mc"] is not None
+
+
 def test_detect_requires_strategy():
     with pytest.raises(SystemExit) as err:
         run_cli("--mode", "detect")
@@ -363,6 +372,31 @@ def test_session_csv_projection(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "phase,group,op,alice,bob,passed,word"
     assert len(lines) == 3
+
+
+# SHA-256 of session CSVs with four encoding groups, frozen before the
+# digests were added: each encoding row's word is its own two bits.
+FROZEN_SESSION_CSV = {
+    "none": "68b4e0fcff6b21f8210962bfca37261e0278cfff79596a380d37789c5080ee4b",
+    "measure-resend": "123bd67e85a6f5554407102a98a7c747ec25899a6cfcd7fa30d375d9f5f2ad57",
+    "ancilla-corrective": "679e84431b4844c5a6fcec9725bab778f5205f3bbd236c8ff44275c89380cb2d",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(FROZEN_SESSION_CSV))
+def test_session_csv_bytes_are_frozen(strategy, tmp_path, capsys):
+    out = tmp_path / "session.csv"
+    assert run_cli(
+        "--mode", "session", "--strategy", strategy,
+        "--seed", "7", "--n-groups", "6", "--n-checking", "2", "--bits", "01101100",
+        "--format", "csv", "--out", str(out),
+    ) == 0
+    assert "message intact: True" in capsys.readouterr().out
+    data = read_bytes(out)
+    lines = data.decode().splitlines()
+    words = [line.rsplit(",", 1)[1] for line in lines if line.startswith("encoding,")]
+    assert words == ["01", "10", "11", "00"]
+    assert hashlib.sha256(data).hexdigest() == FROZEN_SESSION_CSV[strategy]
 
 
 @pytest.mark.parametrize(

@@ -307,6 +307,29 @@ def test_trial_streams_match_make_rng(seed, start, stop):
         assert row.tolist() == [rng.random() for _ in range(9)]
 
 
+def test_rereaders_share_each_block_computed(monkeypatch):
+    blocks = []
+
+    def counted(seed, streams, block):
+        blocks.append(block)
+        return philox_block(seed, streams, block)
+
+    monkeypatch.setattr(qcore, "philox_block", counted)
+    first = TrialStreams(5, 10, 20)
+    head = [first.random() for _ in range(3)]
+    second = first.reread()
+    # the second reader starts at draw 0 and computes block 1 for both
+    got = [second.random() for _ in range(6)]
+    # the first reader goes on from draw 3 over the block the second computed
+    tail = [first.random() for _ in range(3)]
+    for a, b in zip(head + tail, got):
+        np.testing.assert_array_equal(a, b)
+    for row, trial in zip(np.stack(got, axis=1), range(10, 20)):
+        rng = make_rng(5, trial)
+        assert row.tolist() == [rng.random() for _ in range(6)]
+    assert blocks == [0, 1]
+
+
 @pytest.mark.parametrize("seed", PHILOX_SEEDS)
 @pytest.mark.parametrize("start,stop", CHUNK_STRADDLES)
 def test_philox_block_matches_numpy_philox(seed, start, stop):
