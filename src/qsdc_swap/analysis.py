@@ -205,6 +205,11 @@ class _Script:
     The first choice with more outcomes in some row records every row's
     outcome probabilities in ``open`` and ends the pass by raising
     ``_Branching``.
+
+    No reduction runs along the outcome axis: one row of weights is
+    decided once for every row, and only a branching choice broadcasts it
+    into ``open``; per-row weights are tested with one flat ``nonzero`` of
+    their live entries.
     """
 
     def __init__(self, prefixes: np.ndarray):
@@ -217,13 +222,30 @@ class _Script:
         self.depth += 1
         if self.depth <= self.prefixes.shape[1]:
             return self.prefixes[:, self.depth - 1]
-        probs = np.broadcast_to(probs, (len(self.prefixes), np.shape(probs)[-1]))
-        if (np.count_nonzero(probs >= qcore.MIN_BRANCH_PROB, axis=-1) != 1).any():
-            self.open = probs
-            raise _Branching
-        outcome = probs.argmax(axis=-1)
-        self.forced.append((outcome, probs[np.arange(len(probs)), outcome]))
-        return outcome
+        rows = len(self.prefixes)
+        probs = np.asarray(probs)
+        live = probs >= qcore.MIN_BRANCH_PROB
+        if probs.ndim == 1:  # the same outcomes in every row
+            if np.count_nonzero(live) != 1:
+                self.open = np.broadcast_to(probs, (rows, len(probs)))
+                raise _Branching
+            only = live.argmax()
+            outcome = np.full(rows, only)
+            self.forced.append((outcome, np.full(rows, probs[only])))
+            return outcome
+        # One live outcome per row: the i-th live entry, in row-major
+        # order, lies in row i.
+        at = np.flatnonzero(live)
+        if len(at) == rows:
+            width = probs.shape[1]
+            outcome = at - np.arange(0, rows * width, width)
+            if np.logical_and.reduce((outcome >= 0) & (outcome < width)):
+                # ``take`` of the flat indices: a boolean mask over a 2-D
+                # array gathers the same entries several times slower.
+                self.forced.append((outcome, probs.take(at)))
+                return outcome
+        self.open = probs
+        raise _Branching
 
 
 def _replay(round_fn):

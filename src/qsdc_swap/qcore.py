@@ -57,7 +57,14 @@ operations of a Bell measurement are fixed, not only their values:
 * Collapse: the chosen vector divided by the square root of its
   probability.
 * Choice: cumulative weights added in outcome order, compared with the
-  row's uniform.
+  row's uniform.  Below ``COLUMN_ROWS`` rows the sums and tests run along
+  the outcome axis.  From there on, one row of weights is decided by one
+  ``searchsorted`` of the uniforms into the sums of the kept outcomes
+  (those at or above ``MIN_BRANCH_PROB``), and per-row weights are added
+  column by column, so that only one ``argmax`` runs along the axis.  The
+  search needs sums that never decrease, so every weight must be >= 0:
+  ``protocol.policy_weights`` rejects a negative or NaN weight, and a Bell
+  probability is a sum of squares.
 
 A single-qubit op adds its two column products; with the coding ops,
 whose entries are 0 and +-1, every product and sum is exact.
@@ -98,6 +105,18 @@ MIN_BRANCH_PROB = 1e-12
 # alternating pairs: sessions op_p50_ms read 0.655 at a ratio of 4 and
 # 0.636 at 16 (16 faster in three pairs), and exact leaves/s 205k and 204k.
 INDEX_RATIO = 16
+
+# From this many rows on, the outcome hook's rule runs without per-row
+# reductions along the outcome axis (module docstring, Arithmetic; numpy
+# runs such a reduction one row at a time, about 20 ns a row).  Below it
+# the row form stays: for per-row weights it is faster there, as the
+# column form pays a few more ufunc calls.
+# Median us per call, row form -> column form, in-process on a 2-vCPU
+# host: per-row weights 8.5 -> 12.1 at 32 rows, 10.1 -> 11.8 at 64,
+# 12.2 -> 11.6 at 128, 24.3 -> 19.0 at 256; one row of weights 9.0 -> 7.6
+# at 32, 9.7 -> 7.9 at 64, 20.4 -> 12.0 at 256.  At 64 the two forms cost
+# the same summed over both kinds of weights.
+COLUMN_ROWS = 64
 
 
 class QubitError(ValueError):
@@ -632,12 +651,33 @@ def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
 
 def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:
     """The outcome hook's rule (module docstring) for every row at once,
-    row i deciding by ``uniforms[i]``."""
+    row i deciding by ``uniforms[i]``; every weight must be >= 0.
+
+    From ``COLUMN_ROWS`` rows on, the only reduction along the outcome
+    axis is one ``argmax`` of per-row hits: one row of weights is one
+    ``searchsorted`` into the kept outcomes' sums, and per-row sums are
+    added column by column, in the order ``np.add.accumulate`` adds them.
+    """
     probs = np.asarray(probs)
-    hit = (uniforms[:, None] < np.add.accumulate(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
-    chosen = hit.argmax(axis=-1)
-    # The ufuncs' own reductions, without ndarray.any's Python wrapper.
-    found = np.logical_or.reduce(hit, axis=-1)
+    if len(uniforms) < COLUMN_ROWS:
+        hit = (uniforms[:, None] < np.add.accumulate(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
+        chosen = hit.argmax(axis=-1)
+        # The ufuncs' own reductions, without ndarray.any's Python wrapper.
+        found = np.logical_or.reduce(hit, axis=-1)
+    elif probs.ndim == 1:
+        kept = np.flatnonzero(probs >= MIN_BRANCH_PROB)
+        # A uniform past the last kept sum takes the likeliest outcome.
+        return np.append(kept, probs.argmax())[
+            np.add.accumulate(probs)[kept].searchsorted(uniforms, side="right")
+        ]
+    else:
+        sums = probs.copy()
+        for k in range(1, sums.shape[1]):
+            np.add(sums[:, k - 1], sums[:, k], out=sums[:, k])
+        hit = (uniforms[:, None] < sums) & (probs >= MIN_BRANCH_PROB)
+        chosen = hit.argmax(axis=-1)
+        # argmax names a row's first hit, or outcome 0 if it has none.
+        found = hit[:, 0] | chosen.astype(bool)
     if not np.logical_and.reduce(found):  # only rows without a hit take the likeliest
         missed = ~found
         chosen[missed] = (probs[missed] if probs.ndim > 1 else probs).argmax(axis=-1)

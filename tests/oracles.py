@@ -127,6 +127,20 @@ def scalar_choice(r, probs):
     return max(range(len(probs)), key=lambda i: probs[i])
 
 
+def script_choice(rows, probs):
+    """A scripted replay's choice past its prefixes over ``rows`` batch
+    rows, written with reductions along the outcome axis
+    (``analysis._Script.choose`` as first written): ``("forced", outcome,
+    prob)`` when every row has exactly one outcome at or above
+    MIN_BRANCH_PROB, else ``("open", weights)`` with the weights broadcast
+    to every row."""
+    probs = np.broadcast_to(probs, (rows, np.shape(probs)[-1]))
+    if (np.count_nonzero(probs >= MIN_BRANCH_PROB, axis=-1) != 1).any():
+        return "open", probs
+    outcome = probs.argmax(axis=-1)
+    return "forced", outcome, probs[np.arange(len(probs)), outcome]
+
+
 def sampled_branch(r, branches):
     """The branch a single state's Bell measurement takes under uniform
     ``r``, out of ``branches`` listed in kind order with a ``prob`` each

@@ -392,6 +392,60 @@ def test_replay_stop_signal_stays_inside_replay():
     assert result.tolist() == [0, 1, 2, 3]
 
 
+def _script_weights(rows):
+    """Weights at ``rows`` rows, by name: one row or one per row, forced
+    (one outcome at or above MIN_BRANCH_PROB in every row) or branching."""
+    rng = np.random.default_rng(rows)
+    one_hot = np.zeros((rows, 4))
+    one_hot[np.arange(rows), rng.integers(0, 4, rows)] = 1.0 - 1e-13
+    # Sub-threshold weights beside each row's live outcome.
+    forced = np.where(one_hot > 0, one_hot, 1e-13 * rng.integers(0, 2, (rows, 4)))
+    weights = {
+        "1-D forced": np.array([0.0, 1e-13, 1.0 - 1e-13, 0.0]),
+        "1-D forced at the threshold": np.array([0.0, qcore.MIN_BRANCH_PROB, 0.0, 0.0]),
+        "1-D branching": np.array([0.25, 0.0, 0.75, 1e-13]),
+        "1-D none live": np.array([1e-13, 0.0, 0.0, 0.0]),
+        "2-D forced": forced,
+        "2-D branching": rng.dirichlet(np.ones(4), rows),
+    }
+    last_two = forced.copy()
+    last_two[-1] = [0.5, 0.0, 0.5, 0.0]  # the last row branches
+    none_live = forced.copy()
+    none_live[-1] = [1e-13, 0.0, 0.0, 0.0]  # the last row has no live outcome
+    weights["2-D, last row branching"] = last_two
+    weights["2-D, last row none live"] = none_live
+    if rows > 1:
+        # Two live outcomes in one row and none in the next, or the other
+        # way round: as many live outcomes as rows.
+        two, none = [0.5, 0.5, 0.0, 0.0], [0.0, 1e-13, 0.0, 0.0]
+        for label, pair in (("two live, then none", (two, none)), ("none, then two live", (none, two))):
+            weights[f"2-D, {label}"] = forced.copy()
+            weights[f"2-D, {label}"][:2] = pair
+    return weights
+
+
+@pytest.mark.parametrize("rows", [1, 16, 65536])
+def test_script_choice_matches_reference(rows):
+    for name, probs in _script_weights(rows).items():
+        script = analysis._Script(np.zeros((rows, 0), dtype=np.intp))
+        want = oracles.script_choice(rows, probs)
+        try:
+            outcome = script.choose(probs)
+        except analysis._Branching:
+            assert want[0] == "open", name
+            assert not script.forced, name
+            np.testing.assert_array_equal(script.open, want[1], err_msg=name)
+            assert script.open.shape == want[1].shape, name
+            continue
+        assert want[0] == "forced", name
+        assert script.open is None, name
+        [(forced_outcome, forced_prob)] = script.forced
+        assert forced_outcome is outcome, name
+        for got, expected in ((outcome, want[1]), (forced_prob, want[2])):
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+            assert got.dtype == expected.dtype, name
+
+
 def _session_cell(verdict: Verdict, decoded: str, bits: str) -> int:
     """0: detected, 1: clean and decoded right, 2: clean and decoded wrong."""
     if verdict is not Verdict.CLEAN:

@@ -431,6 +431,90 @@ def test_uniforms_choose_per_row_probabilities_match_scalar_choose():
     assert got.tolist() == expected
 
 
+# Row counts on both sides of COLUMN_ROWS, where the rule changes form.
+CHOOSE_ROWS = (1, 4, qcore.COLUMN_ROWS - 1, qcore.COLUMN_ROWS, 2000)
+
+
+@st.composite
+def choice_cases(draw):
+    """Weights and how to draw uniforms for them: K from 1 to 5 outcomes,
+    one row of weights or one per row, a weight of 1e-13 (never chosen) or
+    of MIN_BRANCH_PROB first, in the middle or last, a zero-weight column,
+    totals short of 1, and uniforms set exactly on a cumulative weight."""
+    k = draw(st.integers(1, 5))
+    return {
+        "rows": draw(st.sampled_from(CHOOSE_ROWS)),
+        "k": k,
+        "per_row": draw(st.booleans()),
+        "tiny": draw(st.sampled_from((None, 0, k // 2, k - 1))),
+        "tiny_weight": draw(st.sampled_from((1e-13, qcore.MIN_BRANCH_PROB))),
+        "zero": draw(st.none() | st.integers(0, k - 1)),
+        "scale": draw(st.sampled_from((1.0, 0.9, 1.0 - 1e-13))),
+        "on_sum": draw(st.sampled_from((0.0, 0.25, 1.0))),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _choice_weights(case, rng):
+    probs = rng.dirichlet(np.ones(case["k"]), size=case["rows"] if case["per_row"] else 1)
+    if case["tiny"] is not None:
+        probs[:, case["tiny"]] = case["tiny_weight"]
+    if case["zero"] is not None:
+        probs[:, case["zero"]] = 0.0
+    probs *= case["scale"]
+    return probs if case["per_row"] else probs[0]
+
+
+def _chosen_by_scalar_rule(uniforms, probs):
+    rows = probs if probs.ndim == 2 else [probs] * len(uniforms)
+    return [oracles.scalar_choice(u, row) for u, row in zip(uniforms.tolist(), rows)]
+
+
+def _check_uniforms_choose(case):
+    rng = np.random.default_rng(case["seed"])
+    probs = _choice_weights(case, rng)
+    uniforms = rng.random(case["rows"])
+    # A share of the rows take a uniform equal to one of their row's sums.
+    sums = np.add.accumulate(np.broadcast_to(probs, (case["rows"], case["k"])), axis=-1)
+    snap = rng.random(case["rows"]) < case["on_sum"]
+    uniforms[snap] = sums[snap, rng.integers(0, case["k"], case["rows"])[snap]]
+    got = Uniforms(uniforms[:, None]).choose(probs)
+    assert got.tolist() == _chosen_by_scalar_rule(uniforms, probs)
+
+
+def _check_trial_streams_choose(case):
+    rng = np.random.default_rng(case["seed"])
+    streams = TrialStreams(case["seed"], 100, 100 + case["rows"])
+    uniforms = streams.reread().random()
+    probs = _choice_weights(case, rng)
+    # Zeros up to outcome j and the uniform itself at j: the sum at j is
+    # the uniform, exactly.
+    snap = np.flatnonzero(rng.random(case["rows"] if case["per_row"] else 1) < case["on_sum"])
+    for i, j in zip(snap, rng.integers(0, case["k"], len(snap))):
+        row = probs[i] if case["per_row"] else probs
+        row[:j] = 0.0
+        row[j] = uniforms[i]
+    got = streams.choose(probs)
+    assert got.tolist() == _chosen_by_scalar_rule(uniforms, probs)
+
+
+@given(case=choice_cases())
+@settings(max_examples=120, deadline=None)
+def test_choose_matches_scalar_rule_row_by_row(case):
+    _check_uniforms_choose(case)
+    _check_trial_streams_choose(case)
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+def test_choose_matches_scalar_rule_at_65536_rows(per_row):
+    case = {
+        "rows": 65536, "k": 4, "per_row": per_row, "tiny": 1, "tiny_weight": 1e-13, "zero": 3,
+        "scale": 1.0 - 1e-13, "on_sum": 0.25, "seed": 22,
+    }
+    _check_uniforms_choose(case)
+    _check_trial_streams_choose(case)
+
+
 def test_uniforms_raise_past_the_drawn_columns():
     source = Uniforms(np.full((3, 2), 0.5))
     source.random()
