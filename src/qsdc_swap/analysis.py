@@ -28,7 +28,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -40,12 +40,15 @@ from .bellmap import (
     ENCODING_OPS,
     EncodingOp,
     apply_encoding,
+    correlation_columns,
     correlation_table,
     decode_op,
+    encoding_codes,
     is_correlated,
     kind_label,
     swap_decompose,
     swap_support_rule,
+    swap_supports,
 )
 from .protocol import (
     DetectionPredicate,
@@ -209,7 +212,11 @@ class _Script:
     No reduction runs along the outcome axis: one row of weights is
     decided once for every row, and only a branching choice broadcasts it
     into ``open``; per-row weights are tested with one flat ``nonzero`` of
-    their live entries.
+    their live entries.  Weights of distinct states with a row index
+    (``rows``) are tested on the distinct states, and a forced choice's
+    columns are taken from them by the index; if any distinct state has
+    other than one live outcome, the choice is decided on the weights
+    gathered per row, so that ``open`` holds one row per batch row.
     """
 
     def __init__(self, prefixes: np.ndarray):
@@ -218,34 +225,50 @@ class _Script:
         self.forced: list[tuple[np.ndarray, np.ndarray]] = []
         self.open: np.ndarray | None = None
 
-    def choose(self, probs) -> np.ndarray:
+    def choose(self, probs, rows: np.ndarray | None = None) -> np.ndarray:
         self.depth += 1
         if self.depth <= self.prefixes.shape[1]:
             return self.prefixes[:, self.depth - 1]
-        rows = len(self.prefixes)
         probs = np.asarray(probs)
-        live = probs >= qcore.MIN_BRANCH_PROB
         if probs.ndim == 1:  # the same outcomes in every row
+            batch = len(self.prefixes)
+            live = probs >= qcore.MIN_BRANCH_PROB
             if np.count_nonzero(live) != 1:
-                self.open = np.broadcast_to(probs, (rows, len(probs)))
+                self.open = np.broadcast_to(probs, (batch, len(probs)))
                 raise _Branching
             only = live.argmax()
-            outcome = np.full(rows, only)
-            self.forced.append((outcome, np.full(rows, probs[only])))
+            outcome = np.full(batch, only)
+            self.forced.append((outcome, np.full(batch, probs[only])))
             return outcome
-        # One live outcome per row: the i-th live entry, in row-major
-        # order, lies in row i.
-        at = np.flatnonzero(live)
-        if len(at) == rows:
-            width = probs.shape[1]
-            outcome = at - np.arange(0, rows * width, width)
-            if np.logical_and.reduce((outcome >= 0) & (outcome < width)):
-                # ``take`` of the flat indices: a boolean mask over a 2-D
-                # array gathers the same entries several times slower.
-                self.forced.append((outcome, probs.take(at)))
-                return outcome
-        self.open = probs
-        raise _Branching
+        forced = _one_live(probs)
+        if rows is not None:
+            if forced is not None:
+                forced = tuple(column.take(rows) for column in forced)
+            else:
+                probs = probs.take(rows, axis=0)
+                forced = _one_live(probs)
+        if forced is None:
+            self.open = probs
+            raise _Branching
+        self.forced.append(forced)
+        return forced[0]
+
+
+def _one_live(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each row's outcome and probability if every row of ``probs`` has
+    exactly one outcome at or above ``qcore.MIN_BRANCH_PROB``, else None."""
+    # One live outcome per row: the i-th live entry, in row-major order,
+    # lies in row i.
+    rows, width = probs.shape
+    at = np.flatnonzero(probs >= qcore.MIN_BRANCH_PROB)
+    if len(at) != rows:
+        return None
+    outcome = at - np.arange(0, rows * width, width)
+    if not np.logical_and.reduce((outcome >= 0) & (outcome < width)):
+        return None
+    # ``take`` of the flat indices: a boolean mask over a 2-D array gathers
+    # the same entries several times slower.
+    return outcome, probs.take(at)
 
 
 def _replay(round_fn):
@@ -423,60 +446,59 @@ def detection_from_swap_algebra(
 
     A group fails when its joint outcome lies outside the correlation
     column of the announced op (U0's under strict-u0).  The route reads
-    those columns from ``correlation_table()`` itself and shares no check
-    code with the tree route, only bellmap's tables.
+    those columns from ``correlation_table()`` itself, as bellmap's
+    int-coded ``correlation_columns()``, and shares no check code with the
+    tree route, only bellmap's tables.  Each strategy's joint outcomes are
+    int-coded arrays with one row per op in ENCODING_OPS order; each op's
+    failing entries are summed one at a time, and the ops in that order.
     """
     strict = check_member(DetectionPredicate, predicate) is DetectionPredicate.STRICT_U0
     first = check_member(EncodeTarget, encode_target) is EncodeTarget.FIRST_TRAVEL_PHOTON
-    base = swap_decompose(_PSI, _PSI)
     weights = policy_weights(UNIFORM_POLICY if policy is None else policy)
+    support, encode = swap_supports(), encoding_codes()
+    # outside[op, bob, alice]: the joint outcome fails the check when op is announced.
+    outside = ~correlation_columns()[np.zeros(4, dtype=np.intp) if strict else slice(None)]
+    ops = np.arange(4)[:, None]
+    psi = BELL_KINDS.index(_PSI)
+    # The base product's joint outcomes (bob, eve), bob major, as
+    # ``swap_decompose`` lists its coefficients.
+    bob, eve = np.nonzero(support[psi, psi])
+    terms = None  # each entry's probability, where the entries differ
+    if strategy is AttackStrategy.NONE:
+        k12, k34 = (encode[:, psi], psi) if first else (psi, encode[:, psi])
+        out, p = support[k12, k34] & outside, 0.25
+    elif strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND:
+        # Measuring the travel pair leaves the kept pair in the partner
+        # kind; the resent pair then carries the op alone.
+        out = outside[ops, bob, encode[:, eve]]
+        terms = [c ** 2 for c in swap_decompose(_PSI, _PSI).coeffs.values()]
+    elif strategy is AttackStrategy.REPLACE_MEASURE_AFTER:
+        out, p = outside, 1.0 / 16.0
+    elif strategy is AttackStrategy.REPLACE_MEASURE_BEFORE:
+        # Each early cross measurement swaps one travel photon's
+        # entanglement onto Eve's forwarded photon: [op, e1, e2, bob, alice].
+        encoded, plain = encode[:, eve], np.broadcast_to(eve, (4, len(eve)))
+        k12, k34 = (encoded, plain) if first else (plain, encoded)
+        out = support[k12[:, :, None], k34[:, None, :]] & outside[:, None, None]
+        p = 0.25 * 0.25 * 0.25
+    elif strategy in (AttackStrategy.ANCILLA_PASSIVE, AttackStrategy.ANCILLA_CORRECTIVE):
+        bob, travel, anc = np.array(
+            [[BELL_KINDS.index(k) for k in row[:3]] for row in ANCILLA_EXPANSION]
+        ).T
+        if strategy is AttackStrategy.ANCILLA_CORRECTIVE:
+            corrected = qcore.kind_in(anc, CORRECTION_TRIGGER)
+            travel = np.where(corrected, encode[ENCODING_OPS.index(CORRECTIVE_OP), travel], travel)
+        out, p = outside[ops, bob, encode[:, travel]], 0.125
+    else:
+        raise ValueError(f"unhandled strategy {strategy}")
+    if terms is None:
+        fails = [sum(repeat(p, n)) for n in np.count_nonzero(out.reshape(4, -1), axis=1).tolist()]
+    else:
+        fails = [sum(compress(terms, row)) for row in out.tolist()]
     total = 0.0
-    for op, w in zip(ENCODING_OPS, weights):
-        if not w:
-            continue
-        joint: list[tuple[tuple[BellKind, BellKind], float]] = []
-        if strategy is AttackStrategy.NONE:
-            k12 = apply_encoding(op, _PSI) if first else _PSI
-            k34 = _PSI if first else apply_encoding(op, _PSI)
-            joint = [
-                (pair, 0.25) for pair in swap_decompose(k12, k34).support()
-            ]
-        elif strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND:
-            # Measuring the travel pair leaves the kept pair in the
-            # partner kind; the resent pair then carries the op alone.
-            joint = [
-                ((bob, apply_encoding(op, eve)), base.probability(bob, eve))
-                for bob, eve in base.support()
-            ]
-        elif strategy is AttackStrategy.REPLACE_MEASURE_AFTER:
-            joint = [
-                ((bob, alice), 1.0 / 16.0)
-                for bob in BELL_KINDS
-                for alice in BELL_KINDS
-            ]
-        elif strategy is AttackStrategy.REPLACE_MEASURE_BEFORE:
-            # Each early cross measurement swaps one travel photon's
-            # entanglement onto Eve's forwarded photon.
-            for _, e1 in base.support():
-                for _, e2 in base.support():
-                    k12 = apply_encoding(op, e1) if first else e1
-                    k34 = e2 if first else apply_encoding(op, e2)
-                    for pair in swap_decompose(k12, k34).support():
-                        joint.append((pair, 0.25 * 0.25 * 0.25))
-        elif strategy is AttackStrategy.ANCILLA_PASSIVE:
-            joint = [
-                ((bob, apply_encoding(op, travel)), 0.125)
-                for bob, travel, _anc, _sign in ANCILLA_EXPANSION
-            ]
-        elif strategy is AttackStrategy.ANCILLA_CORRECTIVE:
-            for bob, travel, anc, _sign in ANCILLA_EXPANSION:
-                if anc in CORRECTION_TRIGGER:
-                    travel = apply_encoding(CORRECTIVE_OP, travel)
-                joint.append(((bob, apply_encoding(op, travel)), 0.125))
-        else:
-            raise ValueError(f"unhandled strategy {strategy}")
-        column = correlation_table()[EncodingOp.U0 if strict else op]
-        total += w * sum(p for pair, p in joint if pair not in column)
+    for w, fail in zip(weights, fails):
+        if w:
+            total += w * fail
     return total
 
 

@@ -13,6 +13,14 @@ to.  It has one reader per outcome form: ``decode_op`` for ``BellKind``
 members and ``invert_encoding`` for int codes, which it range-checks.
 Bob's check (``is_correlated``), his message decoding and Eve's guess take
 codes, so they all go through ``invert_encoding``.
+
+The swap-algebra route of ``analysis`` reads int-coded copies of the
+tables, each a read-only array built once, with kinds and ops as their
+indices in BELL_KINDS and ENCODING_OPS: ``swap_supports()`` (the support
+of every ``swap_decompose``), ``encoding_codes()`` (``apply_encoding``)
+and ``correlation_columns()`` (the columns of ``correlation_table()``,
+read from the table itself and not from the decoding table, so that the
+route shares no decision with Bob's check).
 """
 
 from __future__ import annotations
@@ -186,6 +194,45 @@ def _decode_map() -> np.ndarray:
             table[BELL_KINDS.index(bob), BELL_KINDS.index(alice)] = i
     table.flags.writeable = False
     return table
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def swap_supports() -> np.ndarray:
+    """``swap_decompose(k12, k34).support()`` for every pair of kinds, as a
+    bool array indexed [k12, k34, bob, alice] (indices into BELL_KINDS)."""
+    table = np.zeros((4, 4, 4, 4), dtype=bool)
+    for i, k12 in enumerate(BELL_KINDS):
+        for j, k34 in enumerate(BELL_KINDS):
+            for bob, alice in swap_decompose(k12, k34).coeffs:
+                table[i, j, BELL_KINDS.index(bob), BELL_KINDS.index(alice)] = True
+    return _frozen(table)
+
+
+@lru_cache(maxsize=None)
+def encoding_codes() -> np.ndarray:
+    """``apply_encoding`` as an int array indexed [op, kind]: the index in
+    BELL_KINDS of the kind ``op`` (an index into ENCODING_OPS) makes of
+    ``kind``."""
+    return _frozen(np.array(
+        [[BELL_KINDS.index(apply_encoding(op, kind)) for kind in BELL_KINDS] for op in ENCODING_OPS],
+        dtype=np.intp,
+    ))
+
+
+@lru_cache(maxsize=None)
+def correlation_columns() -> np.ndarray:
+    """``correlation_table()`` as a bool array indexed [op, bob, alice]:
+    whether column ``op`` holds the joint outcome."""
+    table = np.zeros((4, 4, 4), dtype=bool)
+    for i, op in enumerate(ENCODING_OPS):
+        for bob, alice in correlation_table()[op]:
+            table[i, BELL_KINDS.index(bob), BELL_KINDS.index(alice)] = True
+    return _frozen(table)
 
 
 def decode_op(bob: BellKind, alice: BellKind) -> EncodingOp:

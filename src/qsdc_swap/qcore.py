@@ -29,17 +29,26 @@ so after a few of them many rows share a handful of states, and the
 operations below then run once per distinct state.  ``INDEX_RATIO`` sets
 when a batch keeps an index; ``per_row()`` and ``take(rows)`` read it row
 by row.  The operations accept single, per-row and indexed states alike.
+A measured batch keeps as its distinct states either every collapsed
+candidate of its distinct states or, where those are too many for its
+rows, only the (state, outcome) candidates its rows chose; a batch of
+drawn Bell kinds (``make_bell`` of an int array) is the four Bell states
+and the kinds as its index.  Each candidate is the same vector divided
+by the same square root, so ``per_row()`` is bit for bit the batch that
+gathers one state per row.
 
-Every random choice goes through one outcome hook, ``rng.choose(probs)``,
-which gives the outcome that happens in each batch row, out of outcomes
-weighted ``probs`` (one row of weights, or one per batch row), as an int
-array: a Bell measurement's outcomes index ``BELL_KINDS``.  The sources
-behind the hook are row sources: ``TrialStreams`` draws the per-trial
-uniforms and ``Uniforms`` hands out a session's pre-drawn ones, each row
-taking the first non-negligible outcome whose cumulative weight exceeds
-its uniform, or the likeliest one if rounding leaves the uniform past the
-end; ``analysis`` replays the same code under scripted outcomes to
-enumerate every history with exact weights.
+Every random choice goes through one outcome hook, ``rng.choose(probs,
+rows=None)``, which gives the outcome that happens in each batch row, out
+of outcomes weighted ``probs``, as an int array: a Bell measurement's
+outcomes index ``BELL_KINDS``.  ``probs`` is one row of weights for every
+batch row, or one row per batch row; with ``rows``, it is one row per
+distinct state of an indexed batch and ``rows`` names each batch row's
+state.  The sources behind the hook are row sources: ``TrialStreams``
+draws the per-trial uniforms and ``Uniforms`` hands out a session's
+pre-drawn ones, each row taking the first non-negligible outcome whose
+cumulative weight exceeds its uniform, or the likeliest one if rounding
+leaves the uniform past the end; ``analysis`` replays the same code under
+scripted outcomes to enumerate every history with exact weights.
 
 Arithmetic.  Reports print exact figures to full precision and the
 transcript and leaf digests pin every drawn outcome, so the floating-point
@@ -64,7 +73,10 @@ operations of a Bell measurement are fixed, not only their values:
   column by column, so that only one ``argmax`` runs along the axis.  The
   search needs sums that never decrease, so every weight must be >= 0:
   ``protocol.policy_weights`` rejects a negative or NaN weight, and a Bell
-  probability is a sum of squares.
+  probability is a sum of squares.  Weights of distinct states are added
+  column by column on the distinct states alone, the outcomes below
+  ``MIN_BRANCH_PROB`` set to -inf there, and one ``take`` by the row index
+  gives each batch row its sums for one compare and one ``argmax``.
 
 A single-qubit op adds its two column products; with the coding ops,
 whose entries are 0 and +-1, every product and sum is exact.
@@ -286,11 +298,17 @@ def make_bell(kind: BellKind | np.ndarray, a: int, b: int) -> StateVector:
     """Two-qubit Bell state of ``kind`` on the ordered pair ``(a, b)``.
 
     ``kind`` may also be an int array indexing ``BELL_KINDS``, which gives
-    the batch with one such state per entry.  Single states are cached.
+    the batch with one such state per entry.  From ``4 * INDEX_RATIO``
+    entries on, that batch is indexed: the four Bell states are its
+    distinct states and a fresh copy of ``kind`` is its row index.  Single
+    states are cached.
     """
     if isinstance(kind, BellKind):
         return _bell_state(kind, a, b)
-    return _trusted(_distinct(a, b), _BELL_VECTORS[np.asarray(kind)])
+    kinds = np.asarray(kind)
+    if kinds.ndim == 1 and 4 * INDEX_RATIO <= len(kinds):
+        return _trusted(_distinct(a, b), _BELL_VECTORS.copy(), kinds.astype(np.intp))
+    return _trusted(_distinct(a, b), _BELL_VECTORS[kinds])
 
 
 # The single-state cache, inspectable as on any lru_cache function.
@@ -466,14 +484,18 @@ def sample_bell(
     each row's rest collapses onto its own outcome; a single state gives
     a batch of collapsed states, one per row of the source.  Each distinct
     state is projected once, and each row's outcome is drawn from its
-    state's probabilities.  If the rows number ``INDEX_RATIO`` times the
-    four outcomes of every distinct state, the collapsed candidates, every
-    outcome at or above ``MIN_BRANCH_PROB``, are the new distinct states
-    and the rows index them; otherwise each row gathers its own.
+    state's probabilities: an indexed batch hands the hook one row of
+    weights per distinct state and its row index.  If the rows number
+    ``INDEX_RATIO`` times the four outcomes of every distinct state, the
+    collapsed candidates, every outcome at or above ``MIN_BRANCH_PROB``,
+    are the new distinct states and the rows index them.  Otherwise an
+    indexed batch of ``4 * INDEX_RATIO`` rows or more keeps only the
+    candidates its rows chose, if the rows number ``INDEX_RATIO`` times
+    those; any other batch gathers one collapsed state per row.
     """
     rest, projected, probs = _pair_projections(state, a, b)
     rows = state.rows
-    chosen = rng.choose(probs if rows is None else probs[rows])
+    chosen = rng.choose(probs, rows)
     if probs.ndim == 1:  # one state, the same in every row
         at = chosen
     else:  # each row's own state, or the distinct state its index names
@@ -483,6 +505,15 @@ def sample_bell(
         outcome = chosen if probs.ndim == 1 else at[0] * 4 + chosen
         candidate = (np.cumsum(keep) - 1)[outcome]
         return chosen, _collapse(rest, projected[keep], probs[keep], candidate)
+    if rows is not None and 4 * INDEX_RATIO <= len(chosen):
+        # The (state, outcome) candidates the rows chose, in that order.
+        outcome = rows * 4 + chosen
+        taken = np.bincount(outcome, minlength=probs.size).astype(bool)
+        picked = np.flatnonzero(taken)
+        if len(picked) * INDEX_RATIO <= len(chosen):
+            at = np.divmod(picked, 4)
+            candidate = (np.cumsum(taken) - 1)[outcome]
+            return chosen, _collapse(rest, projected[at], probs[at], candidate)
     return chosen, _collapse(rest, projected[at], probs[at])
 
 
@@ -649,17 +680,36 @@ def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
     return words.T
 
 
-def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:
+def _cumulative(probs: np.ndarray) -> np.ndarray:
+    """Each row's cumulative weights, a fresh array, added column by column
+    in the order ``np.add.accumulate`` adds them along a row."""
+    sums = probs.copy()
+    for k in range(1, sums.shape[1]):
+        np.add(sums[:, k - 1], sums[:, k], out=sums[:, k])
+    return sums
+
+
+def _choose_each(uniforms: np.ndarray, probs, rows: np.ndarray | None = None) -> np.ndarray:
     """The outcome hook's rule (module docstring) for every row at once,
     row i deciding by ``uniforms[i]``; every weight must be >= 0.
 
+    With ``rows``, ``probs`` holds one row of weights per distinct state
+    and row i decides on row ``rows[i]`` of it: the sums are added on the
+    distinct rows, outcomes below ``MIN_BRANCH_PROB`` set to -inf so that
+    no uniform falls below them, and one ``take`` gives every row its own.
     From ``COLUMN_ROWS`` rows on, the only reduction along the outcome
     axis is one ``argmax`` of per-row hits: one row of weights is one
     ``searchsorted`` into the kept outcomes' sums, and per-row sums are
-    added column by column, in the order ``np.add.accumulate`` adds them.
+    added column by column.
     """
     probs = np.asarray(probs)
-    if len(uniforms) < COLUMN_ROWS:
+    if rows is not None:
+        sums = _cumulative(probs)
+        sums[probs < MIN_BRANCH_PROB] = -np.inf
+        hit = uniforms[:, None] < sums.take(rows, axis=0)
+        chosen = hit.argmax(axis=-1)
+        found = hit[:, 0] | chosen.astype(bool)
+    elif len(uniforms) < COLUMN_ROWS:
         hit = (uniforms[:, None] < np.add.accumulate(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
         chosen = hit.argmax(axis=-1)
         # The ufuncs' own reductions, without ndarray.any's Python wrapper.
@@ -671,16 +721,16 @@ def _choose_each(uniforms: np.ndarray, probs) -> np.ndarray:
             np.add.accumulate(probs)[kept].searchsorted(uniforms, side="right")
         ]
     else:
-        sums = probs.copy()
-        for k in range(1, sums.shape[1]):
-            np.add(sums[:, k - 1], sums[:, k], out=sums[:, k])
-        hit = (uniforms[:, None] < sums) & (probs >= MIN_BRANCH_PROB)
+        hit = (uniforms[:, None] < _cumulative(probs)) & (probs >= MIN_BRANCH_PROB)
         chosen = hit.argmax(axis=-1)
         # argmax names a row's first hit, or outcome 0 if it has none.
         found = hit[:, 0] | chosen.astype(bool)
     if not np.logical_and.reduce(found):  # only rows without a hit take the likeliest
         missed = ~found
-        chosen[missed] = (probs[missed] if probs.ndim > 1 else probs).argmax(axis=-1)
+        if rows is not None:
+            chosen[missed] = probs.argmax(axis=-1).take(rows[missed])
+        else:
+            chosen[missed] = (probs[missed] if probs.ndim > 1 else probs).argmax(axis=-1)
     return chosen
 
 
@@ -724,8 +774,8 @@ class TrialStreams:
         other._drawn = 0
         return other
 
-    def choose(self, probs) -> np.ndarray:
-        return _choose_each(self.random(), probs)
+    def choose(self, probs, rows: np.ndarray | None = None) -> np.ndarray:
+        return _choose_each(self.random(), probs, rows)
 
 
 class Uniforms:
@@ -749,6 +799,6 @@ class Uniforms:
         self._drawn += 1
         return self.table[:, self._drawn - 1]
 
-    def choose(self, probs) -> np.ndarray:
-        return _choose_each(self.random(), probs)
+    def choose(self, probs, rows: np.ndarray | None = None) -> np.ndarray:
+        return _choose_each(self.random(), probs, rows)
 

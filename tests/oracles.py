@@ -4,11 +4,33 @@ Everything here is deliberately written without the package under test:
 literal Bell amplitude tables, naive kron-based linear algebra, the
 verbatim printed correlation table, and a label-arithmetic model of the
 swapping statistics.  Expected values in tests come from these.
+
+One exception: ``swap_algebra_detection`` is the swap-algebra route as the
+package first wrote it, on bellmap's enum tables, kept as the reference
+that the int-coded route must equal float for float.
 """
 
 import math
 
 import numpy as np
+
+from qsdc_swap import analysis
+from qsdc_swap.adversary import AttackStrategy
+from qsdc_swap.bellmap import (
+    ENCODING_OPS,
+    EncodingOp,
+    apply_encoding,
+    correlation_table,
+    swap_decompose,
+)
+from qsdc_swap.protocol import (
+    UNIFORM_POLICY,
+    DetectionPredicate,
+    EncodeTarget,
+    check_member,
+    policy_weights,
+)
+from qsdc_swap.qcore import BELL_KINDS, BellKind
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -260,3 +282,59 @@ def oracle_fidelity(strategy):
             if xor(LABEL[b], LABEL[a]) == OP_XOR[op]:
                 good += 0.25 * p
     return good
+
+
+def swap_algebra_detection(
+    strategy,
+    predicate=DetectionPredicate.ANNOUNCED_OP,
+    policy=None,
+    encode_target=EncodeTarget.SECOND_TRAVEL_PHOTON,
+):
+    """``analysis.detection_from_swap_algebra`` as first written: each
+    strategy's joint (receiver, sender) outcomes as lists of enum pairs,
+    looked up in ``correlation_table()``'s frozensets.  It reads the
+    corrective op, its trigger and the ancilla expansion from ``analysis``
+    at call time, as the route does."""
+    psi = BellKind.PSI_PLUS
+    strict = check_member(DetectionPredicate, predicate) is DetectionPredicate.STRICT_U0
+    first = check_member(EncodeTarget, encode_target) is EncodeTarget.FIRST_TRAVEL_PHOTON
+    base = swap_decompose(psi, psi)
+    weights = policy_weights(UNIFORM_POLICY if policy is None else policy)
+    total = 0.0
+    for op, w in zip(ENCODING_OPS, weights):
+        if not w:
+            continue
+        joint = []
+        if strategy is AttackStrategy.NONE:
+            k12 = apply_encoding(op, psi) if first else psi
+            k34 = psi if first else apply_encoding(op, psi)
+            joint = [(pair, 0.25) for pair in swap_decompose(k12, k34).support()]
+        elif strategy is AttackStrategy.INTERCEPT_MEASURE_RESEND:
+            joint = [
+                ((bob, apply_encoding(op, eve)), base.probability(bob, eve))
+                for bob, eve in base.support()
+            ]
+        elif strategy is AttackStrategy.REPLACE_MEASURE_AFTER:
+            joint = [((bob, alice), 1.0 / 16.0) for bob in BELL_KINDS for alice in BELL_KINDS]
+        elif strategy is AttackStrategy.REPLACE_MEASURE_BEFORE:
+            for _, e1 in base.support():
+                for _, e2 in base.support():
+                    k12 = apply_encoding(op, e1) if first else e1
+                    k34 = e2 if first else apply_encoding(op, e2)
+                    for pair in swap_decompose(k12, k34).support():
+                        joint.append((pair, 0.25 * 0.25 * 0.25))
+        elif strategy is AttackStrategy.ANCILLA_PASSIVE:
+            joint = [
+                ((bob, apply_encoding(op, travel)), 0.125)
+                for bob, travel, _anc, _sign in analysis.ANCILLA_EXPANSION
+            ]
+        elif strategy is AttackStrategy.ANCILLA_CORRECTIVE:
+            for bob, travel, anc, _sign in analysis.ANCILLA_EXPANSION:
+                if anc in analysis.CORRECTION_TRIGGER:
+                    travel = apply_encoding(analysis.CORRECTIVE_OP, travel)
+                joint.append(((bob, apply_encoding(op, travel)), 0.125))
+        else:
+            raise ValueError(f"unhandled strategy {strategy}")
+        column = correlation_table()[EncodingOp.U0 if strict else op]
+        total += w * sum(p for pair, p in joint if pair not in column)
+    return total

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import power_divergence
 
 import oracles
@@ -58,6 +60,41 @@ def test_two_routes_agree(strategy, predicate):
     tree = exact_detection(strategy, predicate)
     algebra = detection_from_swap_algebra(strategy, predicate)
     assert abs(tree - algebra) < 1e-9
+
+
+POLICIES = [None] + [single_op_policy(op) for op in ENCODING_OPS]
+
+
+def _same_float(got, want) -> bool:
+    return got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("predicate", PREDICATES)
+@pytest.mark.parametrize("target", list(EncodeTarget))
+def test_algebra_route_equals_its_enum_reference(strategy, predicate, target):
+    """The int-coded route gives the enum-pair route's floats exactly."""
+    for policy in POLICIES:
+        got = detection_from_swap_algebra(strategy, predicate, policy, target)
+        want = oracles.swap_algebra_detection(strategy, predicate, policy, target)
+        assert _same_float(got, want), (policy, got, want)
+
+
+@given(
+    weights=st.lists(
+        st.sampled_from((0.0, 1e-13, 0.1, 0.25, 1.0)) | st.floats(0.0, 1.0), min_size=4, max_size=4
+    ).filter(lambda w: sum(w) > 0),
+    target=st.sampled_from(list(EncodeTarget)),
+)
+@settings(max_examples=40, deadline=None)
+def test_algebra_route_equals_its_enum_reference_on_any_policy(weights, target):
+    total = sum(weights)
+    policy = {op: w / total for op, w in zip(ENCODING_OPS, weights)}
+    for strategy in STRATEGIES:
+        for predicate in PREDICATES:
+            got = detection_from_swap_algebra(strategy, predicate, policy, target)
+            want = oracles.swap_algebra_detection(strategy, predicate, policy, target)
+            assert _same_float(got, want), (strategy, predicate, got, want)
 
 
 def test_headline_detection_values():
@@ -444,6 +481,66 @@ def test_script_choice_matches_reference(rows):
         for got, expected in ((outcome, want[1]), (forced_prob, want[2])):
             np.testing.assert_array_equal(got, expected, err_msg=name)
             assert got.dtype == expected.dtype, name
+
+
+def _distinct_script_weights(rows):
+    """Weights of distinct states by name, with a row index into them of
+    ``rows`` rows: forced, branching, and forced in every referenced state
+    beside an unreferenced one with two live outcomes or none."""
+    rng = np.random.default_rng(rows + 1)
+    states = 6
+    one_hot = np.zeros((states, 4))
+    one_hot[np.arange(states), rng.integers(0, 4, states)] = 1.0 - 1e-13
+    forced = np.where(one_hot > 0, one_hot, 1e-13 * rng.integers(0, 2, (states, 4)))
+    index = rng.integers(0, states - 1, rows)  # never names the last state
+    index[0] = states - 2
+    unreferenced_two = forced.copy()
+    unreferenced_two[-1] = [0.5, 0.0, 0.5, 0.0]
+    unreferenced_none = forced.copy()
+    unreferenced_none[-1] = [1e-13, 0.0, 0.0, 0.0]
+    referenced_two = forced.copy()
+    referenced_two[states - 2] = [0.25, 0.75, 0.0, 0.0]
+    at_threshold = forced.copy()
+    at_threshold[0] = [0.0, 0.0, 0.0, qcore.MIN_BRANCH_PROB]
+    return {
+        "forced": (forced, index),
+        "forced at the threshold": (at_threshold, index),
+        "branching": (rng.dirichlet(np.ones(4), states), index),
+        "a referenced state branching": (referenced_two, index),
+        "an unreferenced state with two live outcomes": (unreferenced_two, index),
+        "an unreferenced state with none live": (unreferenced_none, index),
+    }
+
+
+def _script_result(rows, *args):
+    """What a fresh script's first choice past empty prefixes does: its
+    outcome or None if it branches, its ``forced`` and its ``open``."""
+    script = analysis._Script(np.zeros((rows, 0), dtype=np.intp))
+    try:
+        outcome = script.choose(*args)
+    except analysis._Branching:
+        outcome = None
+    return outcome, script.forced, script.open
+
+
+@pytest.mark.parametrize("rows", [1, 16, 65536])
+def test_script_choice_on_distinct_states_matches_gathered_weights(rows):
+    """``_Script.choose(probs, rows)`` does what ``choose(probs[rows])``
+    does: the same outcome, ``forced`` columns and ``open``, with the same
+    dtypes."""
+    for name, (probs, index) in _distinct_script_weights(rows).items():
+        got = _script_result(rows, probs, index)
+        want = _script_result(rows, probs[index])
+        assert (got[0] is None) == (want[0] is None), name
+        pairs = [(got[0], want[0]), (got[2], want[2])]
+        assert len(got[1]) == len(want[1]), name
+        pairs += [pair for forced in zip(got[1], want[1]) for pair in zip(*forced)]
+        for a, b in pairs:
+            if b is None:
+                assert a is None, name
+                continue
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
 
 
 def _session_cell(verdict: Verdict, decoded: str, bits: str) -> int:

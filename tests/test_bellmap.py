@@ -6,13 +6,16 @@ from qsdc_swap.bellmap import (
     ENCODING_OPS,
     EncodingOp,
     apply_encoding,
+    correlation_columns,
     correlation_table,
     decode_op,
+    encoding_codes,
     invert_encoding,
     is_correlated,
     kind_label,
     swap_decompose,
     swap_support_rule,
+    swap_supports,
 )
 from qsdc_swap.protocol import decode_message
 from qsdc_swap.qcore import BELL_KINDS, BellKind, classify_bell
@@ -220,3 +223,27 @@ def test_decoders_reject_codes_outside_the_table(bob, alice, named):
 
 def test_kind_labels_are_distinct():
     assert len({kind_label(k) for k in BELL_KINDS}) == 4
+
+
+def test_int_coded_tables_equal_the_enum_tables():
+    """The swap-algebra route's int-coded tables hold, entry by entry, what
+    ``swap_decompose``, ``apply_encoding`` and ``correlation_table`` hold,
+    and none of them can be written."""
+    supports, codes, columns = swap_supports(), encoding_codes(), correlation_columns()
+    assert (supports.shape, supports.dtype) == ((4, 4, 4, 4), np.bool_)
+    assert (codes.shape, codes.dtype) == ((4, 4), np.intp)
+    assert (columns.shape, columns.dtype) == ((4, 4, 4), np.bool_)
+    for i, k12 in enumerate(BELL_KINDS):
+        for j, k34 in enumerate(BELL_KINDS):
+            support = swap_decompose(k12, k34).support()
+            for b, bob in enumerate(BELL_KINDS):
+                for a, alice in enumerate(BELL_KINDS):
+                    assert supports[i, j, b, a] == ((bob, alice) in support)
+    for o, op in enumerate(ENCODING_OPS):
+        for k, kind in enumerate(BELL_KINDS):
+            assert BELL_KINDS[codes[o, k]] is apply_encoding(op, kind)
+        for b, bob in enumerate(BELL_KINDS):
+            for a, alice in enumerate(BELL_KINDS):
+                assert columns[o, b, a] == ((bob, alice) in correlation_table()[op])
+    for table in (supports, codes, columns):
+        assert not table.flags.writeable

@@ -311,6 +311,56 @@ FROZEN_REPORTS = {
         "3dc124cb76e1a68d46c17c2a2d041b87d079f49c07828a8badc60782ca20318a",
     ("identities.json", "--mode", "identities"):
         "75e8538fa5cbabf2fe6678a03aa08fa81b6aa20e70b394269cf4f27d96a6b087",
+    # Detect runs of 5000 trials: a 4096-row chunk takes the outcome hook on
+    # distinct states and keeps the candidates its rows chose.  Frozen from
+    # the program before either existed.
+    ("detect.json", "--mode", "detect", "--strategy", "none", "--predicate", "announced-op",
+     "--trials", "5000", "--seed", "62"):
+        "fd5cdc4f3b7c0825c2ad3c8b918429dd54bc1e8876351516d6b94ac404816dd3",
+    ("detect.json", "--mode", "detect", "--strategy", "none", "--predicate", "strict-u0",
+     "--trials", "5000", "--seed", "62"):
+        "b78627e479ab431abf0349cf31051b544c964567132a141f18a04685f2b8c90e",
+    ("detect.json", "--mode", "detect", "--strategy", "measure-resend", "--predicate", "announced-op",
+     "--trials", "5000", "--seed", "62"):
+        "a9f5c5b0a84435540542071576cbbc629b904fc23ab51f17634565e3f6b2d989",
+    ("detect.json", "--mode", "detect", "--strategy", "measure-resend", "--predicate", "strict-u0",
+     "--trials", "5000", "--seed", "62"):
+        "1af193862e14677d606a0b398c66c3f19a18adfad39726dc26a753f18183efe8",
+    ("detect.json", "--mode", "detect", "--strategy", "replace-after", "--predicate", "announced-op",
+     "--trials", "5000", "--seed", "62"):
+        "b2d9783fea236bf9f9a36ce3b4fe8eabb80e6bfca372ec49e546724fd475cd89",
+    ("detect.json", "--mode", "detect", "--strategy", "replace-after", "--predicate", "strict-u0",
+     "--trials", "5000", "--seed", "62"):
+        "07179dbe3a68077868a8cd1f86d28c8660fac579186c23eb43a31b8c2254e78c",
+    ("detect.json", "--mode", "detect", "--strategy", "replace-before", "--predicate", "announced-op",
+     "--trials", "5000", "--seed", "62"):
+        "77a4588a185e8244f9bbdb586452d523c06a2e0fd2b034696bb4f2b58e01bf47",
+    ("detect.json", "--mode", "detect", "--strategy", "replace-before", "--predicate", "strict-u0",
+     "--trials", "5000", "--seed", "62"):
+        "802309d41c18579a2f70ce6e0c7c4df0463ec105503eb7e2a514f4cabb701a1e",
+    ("detect.json", "--mode", "detect", "--strategy", "ancilla-passive", "--predicate", "announced-op",
+     "--trials", "5000", "--seed", "62"):
+        "13f44a7816a52eacb206ad0b9780f58643073d452a1d36d3094f08ea8b0020a2",
+    ("detect.json", "--mode", "detect", "--strategy", "ancilla-passive", "--predicate", "strict-u0",
+     "--trials", "5000", "--seed", "62"):
+        "71720c651271db6313364d9b667de27eeffda16dd09a9f6ec379114f6ed2411b",
+    ("detect.json", "--mode", "detect", "--strategy", "ancilla-corrective", "--predicate", "announced-op",
+     "--trials", "5000", "--seed", "62"):
+        "e22a651011588878167b9bdd8804a4d0a515143b06a54c8914bafb4d9d505acc",
+    ("detect.json", "--mode", "detect", "--strategy", "ancilla-corrective", "--predicate", "strict-u0",
+     "--trials", "5000", "--seed", "62"):
+        "61c10f35bee5231c77e9d5603f0e962ac535993b2c300acbeaf8c7ec3581af3b",
+    # Clean session transcripts with four encoding groups, for the strategies
+    # whose CSV FROZEN_SESSION_CSV does not pin.
+    ("session.json", "--mode", "session", "--strategy", "replace-after", "--seed", "53",
+     "--n-groups", "5", "--n-checking", "1", "--bits", "01101100"):
+        "e6a844c336df92e31f867c13f7fb8d9e4e251c47b5b60ae9f1c0d95d60e5aff9",
+    ("session.json", "--mode", "session", "--strategy", "replace-before", "--seed", "53",
+     "--n-groups", "5", "--n-checking", "1", "--bits", "01101100"):
+        "fc972a98a7fe2e764c8b50117b711f1522160570ec3c79d033b987267b58a470",
+    ("session.json", "--mode", "session", "--strategy", "ancilla-passive", "--seed", "53",
+     "--n-groups", "5", "--n-checking", "1", "--bits", "01101100"):
+        "b41cb314c6b56c1927383291b4f4914f8bf268b280ad5b9921c086046d607661",
 }
 
 

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from qsdc_swap import protocol
+from qsdc_swap import bellmap, protocol
 from qsdc_swap.adversary import AttackStrategy
 from qsdc_swap.analysis import detection_from_swap_algebra, exact_detection
 from qsdc_swap.protocol import DetectionPredicate
@@ -46,6 +46,24 @@ def _check_ignores_announced_op(monkeypatch) -> None:
     _rebind(monkeypatch, check_passes, faulty)
 
 
+def _swapped_algebra_columns(monkeypatch) -> None:
+    """The swap-algebra route's int-coded correlation table holds U1's
+    column where U2's belongs and U2's where U1's belongs."""
+    columns = bellmap.correlation_columns()
+    faulty = columns[[0, 2, 1, 3]]
+    faulty.flags.writeable = False
+    _rebind(monkeypatch, bellmap.correlation_columns, lambda: faulty)
+
+
+def _swapped_decode_entry(monkeypatch) -> None:
+    """Bob's decoding table decodes (phi+, phi+) to U1 and (phi+, phi-) to
+    U0, each the other's op."""
+    table = bellmap._decode_map().copy()
+    table[0, [0, 1]] = table[0, [1, 0]]
+    table.flags.writeable = False
+    _rebind(monkeypatch, bellmap._decode_map, lambda: table)
+
+
 def _route_gap() -> float:
     """The largest |tree - algebra| detection gap over every strategy x
     predicate cell."""
@@ -59,6 +77,8 @@ def _route_gap() -> float:
 # Each row: how to plant the fault, and the least route gap it must open.
 FAULTS = {
     "check ignores the announced op": (_check_ignores_announced_op, 0.5),
+    "algebra route's correlation columns swapped": (_swapped_algebra_columns, 0.5),
+    "one decoding-table entry swapped": (_swapped_decode_entry, 0.124),
 }
 
 

@@ -515,6 +515,126 @@ def test_choose_matches_scalar_rule_at_65536_rows(per_row):
     _check_trial_streams_choose(case)
 
 
+# Row counts of an indexed batch, and counts of its distinct states.
+INDEXED_ROWS = (1, 63, 64, 2000)
+
+
+@st.composite
+def indexed_choice_cases(draw):
+    """Weights of U distinct states and a row index into them: U from 1 to
+    64, the weight forms of ``choice_cases``, and distinct states that no
+    row references."""
+    k = draw(st.integers(1, 5))
+    states = draw(st.integers(1, 64))
+    return {
+        "rows": draw(st.sampled_from(INDEXED_ROWS)),
+        "k": k,
+        "states": states,
+        "referenced": draw(st.integers(1, states)),
+        "tiny": draw(st.sampled_from((None, 0, k // 2, k - 1))),
+        "tiny_weight": draw(st.sampled_from((1e-13, qcore.MIN_BRANCH_PROB))),
+        "zero": draw(st.none() | st.integers(0, k - 1)),
+        "scale": draw(st.sampled_from((1.0, 0.9, 1.0 - 1e-13))),
+        "on_sum": draw(st.sampled_from((0.0, 0.25, 1.0))),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _indexed_weights(case, rng):
+    """The distinct states' weights, and a row index that names only the
+    first ``referenced`` of them."""
+    probs = _choice_weights(dict(case, rows=case["states"], per_row=True), rng)
+    return probs, rng.integers(0, case["referenced"], case["rows"])
+
+
+def _check_indexed_choose(case):
+    rng = np.random.default_rng(case["seed"])
+    probs, rows = _indexed_weights(case, rng)
+    # Uniforms: a share of the rows take one of their state's sums.
+    uniforms = rng.random(case["rows"])
+    sums = np.add.accumulate(probs, axis=-1)[rows]
+    snap = rng.random(case["rows"]) < case["on_sum"]
+    uniforms[snap] = sums[snap, rng.integers(0, case["k"], case["rows"])[snap]]
+    got = Uniforms(uniforms[:, None]).choose(probs, rows)
+    assert np.array_equal(got, Uniforms(uniforms[:, None]).choose(probs[rows]))
+    assert got.tolist() == _chosen_by_scalar_rule(uniforms, probs[rows])
+    # TrialStreams: zeros up to outcome j and a row's own uniform at j.
+    streams = TrialStreams(case["seed"], 100, 100 + case["rows"])
+    uniforms = streams.reread().random()
+    probs = probs.copy()
+    for i in np.flatnonzero(rng.random(case["rows"]) < case["on_sum"])[:case["states"]]:
+        j = rng.integers(0, case["k"])
+        probs[rows[i], :j] = 0.0
+        probs[rows[i], j] = uniforms[i]
+    got = streams.choose(probs, rows)
+    assert np.array_equal(got, streams.reread().choose(probs[rows]))
+    assert got.tolist() == _chosen_by_scalar_rule(uniforms, probs[rows])
+
+
+@given(case=indexed_choice_cases())
+@settings(max_examples=120, deadline=None)
+def test_choose_on_distinct_states_matches_gathered_weights(case):
+    """``choose(probs, rows)`` decides row i on row ``rows[i]`` of
+    ``probs``: as ``choose(probs[rows])`` does, and as the scalar rule
+    does row by row."""
+    _check_indexed_choose(case)
+
+
+@pytest.mark.parametrize("states,referenced", [(4, 4), (64, 63)])
+def test_choose_on_distinct_states_at_65536_rows(states, referenced):
+    case = {
+        "rows": 65536, "k": 4, "states": states, "referenced": referenced, "tiny": 1,
+        "tiny_weight": qcore.MIN_BRANCH_PROB, "zero": 3, "scale": 1.0 - 1e-13, "on_sum": 0.25,
+        "seed": 23,
+    }
+    _check_indexed_choose(case)
+
+
+def test_make_bell_indexes_a_large_batch_of_kinds(monkeypatch):
+    """From 4 * INDEX_RATIO kinds on, the batch is the four Bell states and
+    a fresh intp copy of the kinds: per row, bit for bit the gathered batch."""
+    kinds = np.random.default_rng(5).integers(0, 4, 4 * qcore.INDEX_RATIO, dtype=np.int32)
+    small = make_bell(kinds[:-1], 1, 2)
+    assert small.rows is None and small.batch == len(kinds) - 1
+    state = make_bell(kinds, 1, 2)
+    assert state.rows is not None and state.rows.dtype == np.intp and len(state.amps) == 4
+    assert not np.shares_memory(state.rows, kinds)
+    assert not np.shares_memory(state.amps, qcore._BELL_VECTORS)
+    monkeypatch.setattr(qcore, "INDEX_RATIO", 1 << 40)
+    gathered = make_bell(kinds, 1, 2)
+    assert gathered.rows is None and np.array_equal(state.per_row().amps, gathered.amps)
+    kinds[:] = 0
+    assert np.array_equal(state.per_row().amps, gathered.amps)
+
+
+def _indexed(seed: int, states: int, referenced: int, rows: int) -> StateVector:
+    """An indexed batch of ``rows`` rows over ``states`` random 3-qubit
+    states, of which the rows name only the first ``referenced``."""
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, referenced, rows)
+    return qcore._trusted((1, 2, 3), random_amps(rng, 3, states), index)
+
+
+@pytest.mark.parametrize("rows", [2000, 65536])
+@pytest.mark.parametrize("states,referenced", [(4096, 5), (4096, 4096), (40, 40)])
+def test_sample_bell_keeps_the_chosen_candidates(rows, states, referenced):
+    """An indexed batch whose rows chose few of its candidates keeps those
+    as its distinct states; every form gives, per row, bit for bit the
+    outcomes and collapsed states of the batch with one state per row."""
+    state = _indexed(rows + states, states, referenced, rows)
+    kind, got = sample_bell(state, 1, 3, TrialStreams(8, 0, rows))
+    want_kind, want = sample_bell(state.per_row(), 1, 3, TrialStreams(8, 0, rows))
+    assert np.array_equal(kind, want_kind) and want.rows is None
+    assert np.array_equal(got.per_row().amps, want.amps)
+    candidates = len(np.unique(state.rows * 4 + kind))
+    if 4 * states * qcore.INDEX_RATIO <= rows:  # every candidate
+        assert len(got.amps) == np.count_nonzero(qcore._pair_projections(state, 1, 3)[2] >= 1e-12)
+    elif candidates * qcore.INDEX_RATIO <= rows:
+        assert len(got.amps) == candidates and got.rows is not None
+    else:
+        assert got.rows is None
+
+
 def test_uniforms_raise_past_the_drawn_columns():
     source = Uniforms(np.full((3, 2), 0.5))
     source.random()
