@@ -661,14 +661,20 @@ class SessionTranscript:
 
 def _check_session(transcript: SessionTranscript) -> None:
     """Raise a ValueError naming a field unless the transcript's fields
-    agree as ``run_session`` writes them: one checking record per
-    checking-role group and, on a clean verdict only, one encoding record
-    per encoding-role group, each in index order; a clean verdict exactly
-    when every check passed; and ``decoded_bits`` the decoding of the
-    encoding records."""
+    agree as ``run_session`` writes them: groups indexed 1..n in order; one
+    checking record per checking-role group and, on a clean verdict only,
+    one encoding record per encoding-role group, each in index order; a
+    clean verdict exactly when every check passed; and ``decoded_bits`` the
+    decoding of the encoding records."""
     groups, checking, encoding = transcript.groups, transcript.checking, transcript.encoding
-    order = groups.index.argsort(kind="stable")
-    index, checks = groups.index[order], groups.role[order] == _CHECKING_ROLE
+    index = groups.index
+    misplaced = np.flatnonzero(index != np.arange(1, len(index) + 1))
+    if misplaced.size:
+        i = int(misplaced[0])
+        raise ValueError(
+            f"transcript field 'groups[{i}].index' is invalid: expected {i + 1}, got {index[i]}"
+        )
+    checks = groups.role == _CHECKING_ROLE
     _check_groups("checking", checking.group, index[checks])
     clean = transcript.verdict is Verdict.CLEAN
     if clean != checking.passed.all():

@@ -29,13 +29,11 @@ so after a few of them many rows share a handful of states, and the
 operations below then run once per distinct state.  ``INDEX_RATIO`` sets
 when a batch keeps an index; ``per_row()`` and ``take(rows)`` read it row
 by row.  The operations accept single, per-row and indexed states alike.
-A measured batch keeps as its distinct states either every collapsed
-candidate of its distinct states or, where those are too many for its
-rows, only the (state, outcome) candidates its rows chose; a batch of
-drawn Bell kinds (``make_bell`` of an int array) is the four Bell states
-and the kinds as its index.  Each candidate is the same vector divided
-by the same square root, so ``per_row()`` is bit for bit the batch that
-gathers one state per row.
+A measured batch keeps as its distinct states the (state, outcome)
+candidates its rows chose; a batch of drawn Bell kinds (``make_bell`` of
+an int array) is the four Bell states and the kinds as its index.  Each
+candidate is the same vector divided by the same square root, so
+``per_row()`` is bit for bit the batch that gathers one state per row.
 
 Every random choice goes through one outcome hook, ``rng.choose(probs,
 rows=None)``, which gives the outcome that happens in each batch row, out
@@ -66,17 +64,15 @@ operations of a Bell measurement are fixed, not only their values:
 * Collapse: the chosen vector divided by the square root of its
   probability.
 * Choice: cumulative weights added in outcome order, compared with the
-  row's uniform.  Below ``COLUMN_ROWS`` rows the sums and tests run along
-  the outcome axis.  From there on, one row of weights is decided by one
+  row's uniform.  One row of weights for every batch row is decided by one
   ``searchsorted`` of the uniforms into the sums of the kept outcomes
-  (those at or above ``MIN_BRANCH_PROB``), and per-row weights are added
-  column by column, so that only one ``argmax`` runs along the axis.  The
-  search needs sums that never decrease, so every weight must be >= 0:
-  ``protocol.policy_weights`` rejects a negative or NaN weight, and a Bell
-  probability is a sum of squares.  Weights of distinct states are added
-  column by column on the distinct states alone, the outcomes below
-  ``MIN_BRANCH_PROB`` set to -inf there, and one ``take`` by the row index
-  gives each batch row its sums for one compare and one ``argmax``.
+  (those at or above ``MIN_BRANCH_PROB``); the search needs sums that
+  never decrease, so every weight must be >= 0: ``protocol.policy_weights``
+  rejects a negative or NaN weight, and a Bell probability is a sum of
+  squares.  Rows of weights, one per batch row or one per distinct state,
+  are summed on the rows given with the outcomes below ``MIN_BRANCH_PROB``
+  set to -inf, a ``take`` by the row index gives each batch row its sums,
+  and one compare and one ``argmax`` decide every row.
 
 A single-qubit op adds its two column products; with the coding ops,
 whose entries are 0 and +-1, every product and sum is exact.
@@ -108,8 +104,8 @@ MAX_QUBITS = 12
 MIN_BRANCH_PROB = 1e-12
 
 # A batch keeps its distinct states plus a row index only while its rows
-# number at least INDEX_RATIO times the states a step would make: four
-# collapsed candidates per distinct state for a measurement, K per state
+# number at least INDEX_RATIO times the states a step would make: the
+# (state, outcome) candidates its rows chose for a measurement, K per state
 # for a per-row op from a table of K, U1 * U2 for a composition.  Below
 # that it holds one state per row, so small batches (sessions of 4 and 32
 # groups, early enumeration passes) run as they would without an index.
@@ -117,19 +113,6 @@ MIN_BRANCH_PROB = 1e-12
 # alternating pairs: sessions op_p50_ms read 0.655 at a ratio of 4 and
 # 0.636 at 16 (16 faster in three pairs), and exact leaves/s 205k and 204k.
 INDEX_RATIO = 16
-
-# From this many rows on, the outcome hook's rule runs without per-row
-# reductions along the outcome axis (module docstring, Arithmetic; numpy
-# runs such a reduction one row at a time, about 20 ns a row).  Below it
-# the row form stays: for per-row weights it is faster there, as the
-# column form pays a few more ufunc calls.
-# Median us per call, row form -> column form, in-process on a 2-vCPU
-# host: per-row weights 8.5 -> 12.1 at 32 rows, 10.1 -> 11.8 at 64,
-# 12.2 -> 11.6 at 128, 24.3 -> 19.0 at 256; one row of weights 9.0 -> 7.6
-# at 32, 9.7 -> 7.9 at 64, 20.4 -> 12.0 at 256.  At 64 the two forms cost
-# the same summed over both kinds of weights.
-COLUMN_ROWS = 64
-
 
 class QubitError(ValueError):
     """Unknown, duplicate, or capacity-violating qubit ids."""
@@ -351,16 +334,16 @@ def apply_single(
 ) -> StateVector:
     """Apply a 2x2 unitary to qubit ``q``.
 
-    ``op`` may also be a ``(B, 2, 2)`` stack, one matrix per trial; applied
-    to a single state it yields a batch.  With ``codes``, one int per batch
-    row, ``op`` is a (K, 2, 2) table and row r gets ``op[codes[r]]``: a
-    single state, or an indexed batch whose rows number ``INDEX_RATIO``
-    times its distinct states' K images, then keeps those images as its
-    distinct states.
+    With ``codes``, one int per batch row, ``op`` is a (K, 2, 2) table and
+    row r gets ``op[codes[r]]``: a single state, or an indexed batch whose
+    rows number ``INDEX_RATIO`` times its distinct states' K images, then
+    keeps those images as its distinct states.
     """
     op = np.asarray(op, dtype=complex)
-    if op.shape[-2:] != (2, 2) or op.ndim > 3:
-        raise ValueError(f"single-qubit operator must be 2x2 or (B, 2, 2), got {op.shape}")
+    if op.shape[-2:] != (2, 2) or op.ndim != (2 if codes is None else 3):
+        raise ValueError(
+            f"single-qubit operator must be 2x2, or a (K, 2, 2) table with codes, got {op.shape}"
+        )
     amps, rows = state.amps, state.rows
     if codes is not None:
         codes, k = np.asarray(codes, dtype=np.intp), len(op)
@@ -372,8 +355,6 @@ def apply_single(
             amps = np.repeat(amps, k, axis=0)
         else:
             amps, op, rows = state.per_row().amps, op[codes], None
-    elif op.ndim == 3:  # one matrix per row
-        amps, rows = state.per_row().amps, None
     i = state.index_of(q)
     # Each state as (qubits before q, q, qubits after q), and each matrix
     # column against the matching slice of q's axis: leading axes pair
@@ -485,13 +466,11 @@ def sample_bell(
     a batch of collapsed states, one per row of the source.  Each distinct
     state is projected once, and each row's outcome is drawn from its
     state's probabilities: an indexed batch hands the hook one row of
-    weights per distinct state and its row index.  If the rows number
-    ``INDEX_RATIO`` times the four outcomes of every distinct state, the
-    collapsed candidates, every outcome at or above ``MIN_BRANCH_PROB``,
-    are the new distinct states and the rows index them.  Otherwise an
-    indexed batch of ``4 * INDEX_RATIO`` rows or more keeps only the
-    candidates its rows chose, if the rows number ``INDEX_RATIO`` times
-    those; any other batch gathers one collapsed state per row.
+    weights per distinct state and its row index.  A single state or an
+    indexed batch of ``4 * INDEX_RATIO`` rows or more keeps as its distinct
+    states the (state, outcome) candidates its rows chose, if the rows
+    number ``INDEX_RATIO`` times those, and the rows index them; any other
+    batch gathers one collapsed state per row.
     """
     rest, projected, probs = _pair_projections(state, a, b)
     rows = state.rows
@@ -500,18 +479,13 @@ def sample_bell(
         at = chosen
     else:  # each row's own state, or the distinct state its index names
         at = (np.arange(len(chosen)) if rows is None else rows, chosen)
-    if probs.size * INDEX_RATIO <= len(chosen):  # four candidates per distinct state
-        keep = probs >= MIN_BRANCH_PROB
-        outcome = chosen if probs.ndim == 1 else at[0] * 4 + chosen
-        candidate = (np.cumsum(keep) - 1)[outcome]
-        return chosen, _collapse(rest, projected[keep], probs[keep], candidate)
-    if rows is not None and 4 * INDEX_RATIO <= len(chosen):
+    if (probs.ndim == 1 or rows is not None) and 4 * INDEX_RATIO <= len(chosen):
         # The (state, outcome) candidates the rows chose, in that order.
-        outcome = rows * 4 + chosen
+        outcome = chosen if rows is None else rows * 4 + chosen
         taken = np.bincount(outcome, minlength=probs.size).astype(bool)
         picked = np.flatnonzero(taken)
         if len(picked) * INDEX_RATIO <= len(chosen):
-            at = np.divmod(picked, 4)
+            at = picked if probs.ndim == 1 else np.divmod(picked, 4)
             candidate = (np.cumsum(taken) - 1)[outcome]
             return chosen, _collapse(rest, projected[at], probs[at], candidate)
     return chosen, _collapse(rest, projected[at], probs[at])
@@ -680,57 +654,33 @@ def philox_block(seed: int, streams: np.ndarray, block: int) -> np.ndarray:
     return words.T
 
 
-def _cumulative(probs: np.ndarray) -> np.ndarray:
-    """Each row's cumulative weights, a fresh array, added column by column
-    in the order ``np.add.accumulate`` adds them along a row."""
-    sums = probs.copy()
-    for k in range(1, sums.shape[1]):
-        np.add(sums[:, k - 1], sums[:, k], out=sums[:, k])
-    return sums
-
-
 def _choose_each(uniforms: np.ndarray, probs, rows: np.ndarray | None = None) -> np.ndarray:
     """The outcome hook's rule (module docstring) for every row at once,
     row i deciding by ``uniforms[i]``; every weight must be >= 0.
 
-    With ``rows``, ``probs`` holds one row of weights per distinct state
-    and row i decides on row ``rows[i]`` of it: the sums are added on the
-    distinct rows, outcomes below ``MIN_BRANCH_PROB`` set to -inf so that
-    no uniform falls below them, and one ``take`` gives every row its own.
-    From ``COLUMN_ROWS`` rows on, the only reduction along the outcome
-    axis is one ``argmax`` of per-row hits: one row of weights is one
-    ``searchsorted`` into the kept outcomes' sums, and per-row sums are
-    added column by column.
+    One row of weights is one ``searchsorted`` of the uniforms into the
+    kept outcomes' sums.  Rows of weights, one per batch row or, with
+    ``rows``, one per distinct state that row i reads at ``rows[i]``, are
+    summed on the rows given with outcomes below ``MIN_BRANCH_PROB`` set to
+    -inf, so that no uniform falls below them; one ``take`` gives every
+    batch row its own sums, and one ``argmax`` of the hits its outcome.
     """
-    probs = np.asarray(probs)
-    if rows is not None:
-        sums = _cumulative(probs)
-        sums[probs < MIN_BRANCH_PROB] = -np.inf
-        hit = uniforms[:, None] < sums.take(rows, axis=0)
-        chosen = hit.argmax(axis=-1)
-        found = hit[:, 0] | chosen.astype(bool)
-    elif len(uniforms) < COLUMN_ROWS:
-        hit = (uniforms[:, None] < np.add.accumulate(probs, axis=-1)) & (probs >= MIN_BRANCH_PROB)
-        chosen = hit.argmax(axis=-1)
-        # The ufuncs' own reductions, without ndarray.any's Python wrapper.
-        found = np.logical_or.reduce(hit, axis=-1)
-    elif probs.ndim == 1:
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim == 1:
         kept = np.flatnonzero(probs >= MIN_BRANCH_PROB)
         # A uniform past the last kept sum takes the likeliest outcome.
         return np.append(kept, probs.argmax())[
             np.add.accumulate(probs)[kept].searchsorted(uniforms, side="right")
         ]
-    else:
-        hit = (uniforms[:, None] < _cumulative(probs)) & (probs >= MIN_BRANCH_PROB)
-        chosen = hit.argmax(axis=-1)
-        # argmax names a row's first hit, or outcome 0 if it has none.
-        found = hit[:, 0] | chosen.astype(bool)
+    sums = np.add.accumulate(probs, axis=-1)
+    sums[probs < MIN_BRANCH_PROB] = -np.inf
+    hit = uniforms[:, None] < (sums if rows is None else sums.take(rows, axis=0))
+    chosen = hit.argmax(axis=-1)
+    # argmax names a row's first hit, or outcome 0 if it has none.
+    found = hit[:, 0] | chosen.astype(bool)
     if not np.logical_and.reduce(found):  # only rows without a hit take the likeliest
-        missed = ~found
-        if rows is not None:
-            chosen[missed] = probs.argmax(axis=-1).take(rows[missed])
-        else:
-            chosen[missed] = (probs[missed] if probs.ndim > 1 else probs).argmax(axis=-1)
+        missed = np.flatnonzero(~found)
+        chosen[missed] = probs.argmax(axis=-1).take(missed if rows is None else rows[missed])
     return chosen
 
 

@@ -350,8 +350,8 @@ FROZEN_REPORTS = {
     ("detect.json", "--mode", "detect", "--strategy", "ancilla-corrective", "--predicate", "strict-u0",
      "--trials", "5000", "--seed", "62"):
         "61c10f35bee5231c77e9d5603f0e962ac535993b2c300acbeaf8c7ec3581af3b",
-    # Clean session transcripts with four encoding groups, for the strategies
-    # whose CSV FROZEN_SESSION_CSV does not pin.
+    # Clean session transcripts with four encoding groups, the JSON of the
+    # sessions whose CSV FROZEN_SESSION_CSV pins under CLEAN_SESSION.
     ("session.json", "--mode", "session", "--strategy", "replace-after", "--seed", "53",
      "--n-groups", "5", "--n-checking", "1", "--bits", "01101100"):
         "e6a844c336df92e31f867c13f7fb8d9e4e251c47b5b60ae9f1c0d95d60e5aff9",
@@ -437,29 +437,52 @@ def test_session_csv_projection(tmp_path):
     assert len(lines) == 3
 
 
-# SHA-256 of session CSVs with four encoding groups, frozen before the
-# digests were added: each encoding row's word is its own two bits.
+# SHA-256 of session CSVs with four encoding groups.  Under INTACT_SESSION
+# (frozen before the digests were added) the message arrives and each
+# encoding row's word is its own two bits.  Under CLEAN_SESSION, the config
+# of the session JSON pins in FROZEN_REPORTS (frozen before qcore's outcome
+# rule lost its column form), the attack passes the check and garbles words.
+INTACT_SESSION = ("--seed", "7", "--n-groups", "6", "--n-checking", "2")
+CLEAN_SESSION = ("--seed", "53", "--n-groups", "5", "--n-checking", "1")
 FROZEN_SESSION_CSV = {
-    "none": "68b4e0fcff6b21f8210962bfca37261e0278cfff79596a380d37789c5080ee4b",
-    "measure-resend": "123bd67e85a6f5554407102a98a7c747ec25899a6cfcd7fa30d375d9f5f2ad57",
-    "ancilla-corrective": "679e84431b4844c5a6fcec9725bab778f5205f3bbd236c8ff44275c89380cb2d",
+    "none": (INTACT_SESSION, "68b4e0fcff6b21f8210962bfca37261e0278cfff79596a380d37789c5080ee4b"),
+    "measure-resend": (
+        INTACT_SESSION, "123bd67e85a6f5554407102a98a7c747ec25899a6cfcd7fa30d375d9f5f2ad57"
+    ),
+    "ancilla-corrective": (
+        INTACT_SESSION, "679e84431b4844c5a6fcec9725bab778f5205f3bbd236c8ff44275c89380cb2d"
+    ),
+    "replace-after": (
+        CLEAN_SESSION, "bee6781069f9ad0533bbe714abf8f3c8190a30b6cecd5cf7925a73abc7747a1c"
+    ),
+    "replace-before": (
+        CLEAN_SESSION, "5317207f1d5dcdb6de5fd8989658ab080a0cf8a515152592a4c1b040d737f73a"
+    ),
+    "ancilla-passive": (
+        CLEAN_SESSION, "1ad5f6edb4986240efc46df75e89a1d353658bca124f8929d540db28770cec8c"
+    ),
 }
 
 
 @pytest.mark.parametrize("strategy", sorted(FROZEN_SESSION_CSV))
 def test_session_csv_bytes_are_frozen(strategy, tmp_path, capsys):
+    config, digest = FROZEN_SESSION_CSV[strategy]
     out = tmp_path / "session.csv"
     assert run_cli(
-        "--mode", "session", "--strategy", strategy,
-        "--seed", "7", "--n-groups", "6", "--n-checking", "2", "--bits", "01101100",
+        "--mode", "session", "--strategy", strategy, *config, "--bits", "01101100",
         "--format", "csv", "--out", str(out),
     ) == 0
-    assert "message intact: True" in capsys.readouterr().out
+    printed = capsys.readouterr().out
     data = read_bytes(out)
     lines = data.decode().splitlines()
     words = [line.rsplit(",", 1)[1] for line in lines if line.startswith("encoding,")]
-    assert words == ["01", "10", "11", "00"]
-    assert hashlib.sha256(data).hexdigest() == FROZEN_SESSION_CSV[strategy]
+    if config == INTACT_SESSION:
+        assert "message intact: True" in printed
+        assert words == ["01", "10", "11", "00"]
+    else:
+        assert "verdict: clean" in printed and "message intact: False" in printed
+        assert len(words) == 4 and words != ["01", "10", "11", "00"]
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

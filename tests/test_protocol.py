@@ -305,6 +305,21 @@ def test_transcript_no_session_writes_is_rejected(edit, name):
         SessionTranscript.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("edit", [0, -1, "n + 1", 99, "neighbour"])
+def test_transcript_group_indices_must_run_one_to_n(edit):
+    """An aborted session has no encoding records to pin its encoding-role
+    groups' indices, so the group table alone must number them 1..n."""
+    session = run_session(cfg(6, 4, bits="0110", seed=0), AttackStrategy.REPLACE_MEASURE_AFTER)
+    doc = session.to_json_dict()
+    assert doc["verdict"] == "eve-detected"
+    groups = doc["groups"]
+    i = next(i for i, g in enumerate(groups) if g["role"] == "encoding" and i > 0)
+    value = {"n + 1": len(groups) + 1, "neighbour": groups[i - 1]["index"]}.get(edit, edit)
+    groups[i]["index"] = value
+    with pytest.raises(ValueError, match=re.escape(f"'groups[{i}].index' is invalid")):
+        SessionTranscript.from_json_dict(doc)
+
+
 def test_transcript_names_first_bad_field_in_record_order():
     doc = run_session(cfg(3, 1, bits="0111", seed=21)).to_json_dict()
     doc["groups"][2]["index"] = "3"

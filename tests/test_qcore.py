@@ -138,6 +138,17 @@ def test_apply_single_either_photon_same_kind(op_name, image):
     assert classify_bell(on_first) is KIND[image]
 
 
+def test_apply_single_takes_a_matrix_or_a_table_with_codes():
+    pair = make_bell(BellKind.PSI_PLUS, 3, 4)
+    stack = np.stack([U0, U2])
+    with pytest.raises(ValueError, match="2x2, or a \\(K, 2, 2\\) table with codes"):
+        apply_single(make_bell(np.array([0, 2]), 3, 4), 4, stack)
+    with pytest.raises(ValueError, match="table with codes"):
+        apply_single(pair, 4, U2, np.array([0, 0]))
+    with pytest.raises(ValueError, match="table with codes"):
+        apply_single(pair, 4, np.eye(4))
+
+
 def test_apply_single_unknown_qubit():
     with pytest.raises(QubitError):
         apply_single(make_bell(BellKind.PSI_PLUS, 3, 4), 7, U2)
@@ -425,14 +436,20 @@ def test_uniforms_choose_per_row_probabilities_match_scalar_choose():
     # cumulative sums that end below the row's uniform
     probs[2:4] = [[0.2, 0.3, 0.1, 0.05], [0.25, 0.25, 0.25, 0.25 - 1e-12]]
     uniforms[2:4] = [0.9, 1.0 - 1e-13]
+    # an outcome of exactly MIN_BRANCH_PROB under a uniform inside its
+    # weight is kept, in per-row weights and in one row for every row
+    at_min = [qcore.MIN_BRANCH_PROB, 0.5, 0.5 - qcore.MIN_BRANCH_PROB, 0.0]
+    probs[4], uniforms[4] = at_min, 5e-13
     expected = [oracles.scalar_choice(u, row) for u, row in zip(uniforms, probs)]
-    assert expected[:4] == [1, 3, 1, 0]
+    assert expected[:5] == [1, 3, 1, 0, 0]
     got = Uniforms(uniforms[:, None]).choose(probs)
     assert got.tolist() == expected
+    assert Uniforms(uniforms[4:5, None]).choose(at_min).tolist() == [0]
 
 
-# Row counts on both sides of COLUMN_ROWS, where the rule changes form.
-CHOOSE_ROWS = (1, 4, qcore.COLUMN_ROWS - 1, qcore.COLUMN_ROWS, 2000)
+# Row counts of small and large batches, 63 and 64 on either side of
+# 4 * INDEX_RATIO, from which a measurement keeps its chosen candidates.
+CHOOSE_ROWS = (1, 4, 63, 64, 2000)
 
 
 @st.composite
@@ -615,24 +632,38 @@ def _indexed(seed: int, states: int, referenced: int, rows: int) -> StateVector:
     return qcore._trusted((1, 2, 3), random_amps(rng, 3, states), index)
 
 
+def _check_kept_candidates(state: StateVector, rows: int) -> None:
+    """Measure ``(1, 3)`` of ``state`` in ``rows`` rows: a single state or
+    an indexed batch of 4 * INDEX_RATIO rows or more keeps the (state,
+    outcome) candidates its rows chose if the rows number INDEX_RATIO
+    times those, and any other batch gathers one state per row; per row,
+    bit for bit the outcomes and collapsed states of the batch with one
+    state per row."""
+    if state.batch is None:
+        flat = StateVector(state.qubits, np.tile(state.amps, (rows, 1)))
+    else:
+        flat = state.per_row()
+    kind, got = sample_bell(state, 1, 3, TrialStreams(8, 0, rows))
+    want_kind, want = sample_bell(flat, 1, 3, TrialStreams(8, 0, rows))
+    assert np.array_equal(kind, want_kind) and want.rows is None
+    assert np.array_equal(got.per_row().amps, want.amps)
+    candidates = len(np.unique(kind if state.rows is None else state.rows * 4 + kind))
+    if 4 * qcore.INDEX_RATIO <= rows and candidates * qcore.INDEX_RATIO <= rows:
+        assert len(got.amps) == candidates and got.rows is not None
+    else:
+        assert got.rows is None and got.batch == rows
+
+
 @pytest.mark.parametrize("rows", [2000, 65536])
 @pytest.mark.parametrize("states,referenced", [(4096, 5), (4096, 4096), (40, 40)])
 def test_sample_bell_keeps_the_chosen_candidates(rows, states, referenced):
-    """An indexed batch whose rows chose few of its candidates keeps those
-    as its distinct states; every form gives, per row, bit for bit the
-    outcomes and collapsed states of the batch with one state per row."""
-    state = _indexed(rows + states, states, referenced, rows)
-    kind, got = sample_bell(state, 1, 3, TrialStreams(8, 0, rows))
-    want_kind, want = sample_bell(state.per_row(), 1, 3, TrialStreams(8, 0, rows))
-    assert np.array_equal(kind, want_kind) and want.rows is None
-    assert np.array_equal(got.per_row().amps, want.amps)
-    candidates = len(np.unique(state.rows * 4 + kind))
-    if 4 * states * qcore.INDEX_RATIO <= rows:  # every candidate
-        assert len(got.amps) == np.count_nonzero(qcore._pair_projections(state, 1, 3)[2] >= 1e-12)
-    elif candidates * qcore.INDEX_RATIO <= rows:
-        assert len(got.amps) == candidates and got.rows is not None
-    else:
-        assert got.rows is None
+    _check_kept_candidates(_indexed(rows + states, states, referenced, rows), rows)
+
+
+@pytest.mark.parametrize("rows", [63, 64, 2000])
+def test_sample_bell_keeps_the_chosen_candidates_of_one_state(rows):
+    state = StateVector((1, 2, 3), random_amps(np.random.default_rng(rows), 3))
+    _check_kept_candidates(state, rows)
 
 
 def test_uniforms_raise_past_the_drawn_columns():
@@ -647,20 +678,20 @@ def test_uniforms_raise_past_the_drawn_columns():
 
 def test_batched_ops_match_single_states_trial_by_trial():
     kinds = np.array([0, 1, 2, 3, 3, 1])
-    ops = np.stack([U0, U1, U2, U3, U2, U0])
+    table, codes = np.stack([U0, U1, U2, U3]), np.array([0, 1, 2, 3, 2, 0])
 
-    def prepare(kind, op):
-        # single-state factor composed on both sides, per-trial matrix, CNOT
+    def prepare(kind, *op):
+        # single-state factor composed on both sides, per-trial op, CNOT
         state = compose(make_bell(kind, 1, 2), single_qubit(5))
-        state = apply_cnot(apply_single(state, 2, op), 2, 5)
+        state = apply_cnot(apply_single(state, 2, *op), 2, 5)
         return compose(make_bell(BellKind.PSI_PLUS, 3, 4), state)
 
-    batch = prepare(kinds, ops)
+    batch = prepare(kinds, table, codes)
     assert batch.batch == len(kinds) and batch.qubits == (3, 4, 1, 2, 5)
     outcomes, rest = sample_bell(batch, 2, 4, TrialStreams(11, 0, len(kinds)))
     assert rest.qubits == (3, 1, 5) and rest.batch == len(kinds)
-    for t, (k, op) in enumerate(zip(kinds, ops)):
-        single = prepare(BELL_KINDS[k], op)
+    for t, (k, code) in enumerate(zip(kinds, codes)):
+        single = prepare(BELL_KINDS[k], table[code])
         np.testing.assert_allclose(batch.amps[t], single.amps, atol=1e-12)
         branch = oracles.sampled_branch(make_rng(11, t).random(), bell_branches(single, 2, 4))
         assert BELL_KINDS[outcomes[t]] is branch.kind
@@ -715,9 +746,9 @@ def test_indexed_state_matches_one_state_per_row(monkeypatch, ratio):
     codes = TrialStreams(3, 0, _ROWS).choose([0.25] * 4)
     same(apply_single(state, 4, U3), apply_single(flat, 4, U3))
     same(apply_single(state, 4, table, codes), apply_single(flat, 4, table, codes))
-    same(apply_single(state, 4, table[codes]), apply_single(flat, 4, table[codes]))
     one = make_bell(BellKind.PSI_PLUS, 1, 2)
-    same(apply_single(one, 2, table, codes), apply_single(one, 2, table[codes]))
+    ones = StateVector(one.qubits, np.tile(one.amps, (_ROWS, 1)))
+    same(apply_single(one, 2, table, codes), apply_single(ones, 2, table, codes))
     same(apply_cnot(state, 4, 1), apply_cnot(flat, 4, 1))
     joint = compose(state, other)
     for pair, rest in (((4, 5), (1, 8)), ((1, 4), (5, 8))):
@@ -862,7 +893,7 @@ def test_kernels_are_row_independent(size):
     pairs, targets = ((1, 3), (5, 2), (4, 5)), (1, 3, 5)
     projections = {pair: _pair_projections(batch, *pair)[1:] for pair in pairs}
     coded = {(q, i): apply_single(batch, q, op).amps for q in targets for i, op in enumerate(ops)}
-    per_row = {q: apply_single(batch, q, ops[codes]).amps for q in targets}
+    per_row = {q: apply_single(batch, q, ops, codes).amps for q in targets}
     composed = compose(batch, partners).amps
     for pos in sorted({0, size // 2, size - 1}):
         one = StateVector(qubits, batch.amps[pos])
@@ -874,10 +905,11 @@ def test_kernels_are_row_independent(size):
         for (q, i), amps in coded.items():
             assert np.array_equal(amps[pos], apply_single(one, q, ops[i]).amps), (pos, q, i)
         for q, amps in per_row.items():
-            # one matrix per row, and one state under a stack of matrices
+            # one op per row, and one state under a table of ops
             want = apply_single(one, q, ops[codes[pos]]).amps
             assert np.array_equal(amps[pos], want), (pos, q)
-            assert np.array_equal(apply_single(one, q, ops[codes]).amps[pos], want), (pos, q)
+            under_codes = apply_single(one, q, ops, codes).per_row().amps
+            assert np.array_equal(under_codes[pos], want), (pos, q)
         want = compose(one, partner).amps
         assert np.array_equal(composed[pos], want), pos
         assert np.array_equal(compose(one, partners).amps[pos], want), pos
