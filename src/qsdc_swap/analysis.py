@@ -82,6 +82,23 @@ DEFAULT_NODE_BUDGET = 1_000_000
 #    20000        96 ms     40.8 MB
 MC_CHUNK = 4096
 
+# Widest span of codes, per code ranked, that ``_rank`` ranks by marking
+# the codes present rather than by sorting.  65,536 random intp codes over
+# a span of span/n codes per code (best of 7x20 calls, 2-vCPU Xeon, Python
+# 3.11, numpy 2.4; tracemalloc peak of one call), ranked by ``np.unique``,
+# by a ``cumsum`` over the marks, and by the scatter that ``_rank`` uses:
+#
+#   span/n   np.unique          cumsum             scatter
+#    0.25    2.41 ms  2.82 MB   0.22 ms  0.80 MB   0.19 ms  0.80 MB
+#    1       2.61 ms  3.02 MB   0.47 ms  1.45 MB   0.31 ms  1.45 MB
+#    2       2.96 ms  3.10 MB   1.59 ms  2.23 MB   0.43 ms  2.12 MB
+#    4       2.79 ms  3.15 MB   2.81 ms  4.46 MB   0.69 ms  3.35 MB
+#    8       1.89 ms  3.18 MB   4.52 ms  8.91 MB   1.22 ms  5.74 MB
+#
+# The scatter stays faster, but past two codes per code its span arrays
+# take more memory than the sort, whose memory follows the codes alone.
+RANK_SPAN = 2
+
 IDENTITY_TOL = 1e-9
 
 _PSI = BellKind.PSI_PLUS
@@ -202,10 +219,13 @@ class _Branching(Exception):
 class _Script:
     """Outcome source that replays one outcome prefix per batch row.
 
-    Past the prefixes, a choice with one outcome at or above
-    ``qcore.MIN_BRANCH_PROB`` in every row is forced: it is taken in the
-    same pass, and its outcome and probability columns go to ``forced``.
-    The first choice with more outcomes in some row records every row's
+    The prefixes are ``columns``, one per choice already made, each a
+    read-only, contiguous (batch,) intp array of every row's outcome; the
+    round's first choices are handed those columns.  Past them, a choice
+    with one outcome at or above ``qcore.MIN_BRANCH_PROB`` in every row is
+    forced: it is taken in the same pass, and its outcome column (handed
+    out read-only as well) and probability column go to ``forced``.  The
+    first choice with more outcomes in some row records every row's
     outcome probabilities in ``open`` and ends the pass by raising
     ``_Branching``.
 
@@ -219,39 +239,44 @@ class _Script:
     gathered per row, so that ``open`` holds one row per batch row.
     """
 
-    def __init__(self, prefixes: np.ndarray):
-        self.prefixes = prefixes
+    def __init__(self, columns: Sequence[np.ndarray], batch: int):
+        self.columns = columns
+        self.batch = batch
         self.depth = 0
         self.forced: list[tuple[np.ndarray, np.ndarray]] = []
         self.open: np.ndarray | None = None
 
     def choose(self, probs, rows: np.ndarray | None = None) -> np.ndarray:
         self.depth += 1
-        if self.depth <= self.prefixes.shape[1]:
-            return self.prefixes[:, self.depth - 1]
+        if self.depth <= len(self.columns):
+            return self.columns[self.depth - 1]
         probs = np.asarray(probs)
         if probs.ndim == 1:  # the same outcomes in every row
-            batch = len(self.prefixes)
             live = probs >= qcore.MIN_BRANCH_PROB
             if np.count_nonzero(live) != 1:
-                self.open = np.broadcast_to(probs, (batch, len(probs)))
+                self.open = np.broadcast_to(probs, (self.batch, len(probs)))
                 raise _Branching
             only = live.argmax()
-            outcome = np.full(batch, only)
-            self.forced.append((outcome, np.full(batch, probs[only])))
-            return outcome
-        forced = _one_live(probs)
-        if rows is not None:
-            if forced is not None:
-                forced = tuple(column.take(rows) for column in forced)
-            else:
-                probs = probs.take(rows, axis=0)
-                forced = _one_live(probs)
-        if forced is None:
-            self.open = probs
-            raise _Branching
+            forced = np.full(self.batch, only), np.full(self.batch, probs[only])
+        else:
+            forced = _one_live(probs)
+            if rows is not None:
+                if forced is not None:
+                    forced = tuple(column.take(rows) for column in forced)
+                else:
+                    probs = probs.take(rows, axis=0)
+                    forced = _one_live(probs)
+            if forced is None:
+                self.open = probs
+                raise _Branching
         self.forced.append(forced)
-        return forced[0]
+        return _read_only(forced[0])
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """``column``, which no one else holds, made read-only."""
+    column.flags.writeable = False
+    return column
 
 
 def _one_live(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -278,9 +303,13 @@ def _replay(round_fn):
     choices it meets, and ends at its first real branching, extending
     every row by each non-negligible outcome of it, so a choice with one
     possible outcome costs no pass of its own.  Only the last pass, which
-    meets no branching, runs the round to its end.  Prefixes hold one
-    column per choice, and weights take each choice's probability in
-    choice order.  Returns the prefixes in lexicographic order, their
+    meets no branching, runs the round to its end.  The prefixes are a
+    list of read-only (rows,) intp columns, one per choice: a forced
+    choice appends its column, and a branching choice takes each column
+    at the rows it extends and appends their outcomes, so a pass costs
+    one gather per column and no (rows, depth) matrix is ever built.
+    Weights take each choice's probability in choice order.  Returns the
+    columns, whose rows are the histories in lexicographic order, their
     exact weights and the last pass's result, which holds one outcome per
     history.  Rows replayed over all passes count against the node budget.
     """
@@ -291,30 +320,29 @@ def _replay(round_fn):
         node_budget = 0
     if node_budget < 1:
         raise ValueError(f"{NODE_BUDGET_ENV} must be a positive integer, got {raw!r}")
-    prefixes = np.zeros((1, 0), dtype=np.intp)
+    columns: list[np.ndarray] = []
     weights = np.ones(1)
     replayed = 0
     while True:
-        replayed += len(prefixes)
+        replayed += len(weights)
         if replayed > node_budget:
             raise EnumerationBudgetError(
                 f"enumeration exceeded the {node_budget}-node budget"
             )
-        script = _Script(prefixes)
+        script = _Script(columns, len(weights))
         try:
             result = round_fn(script)
         except _Branching:
             pass
-        if script.forced:
-            outcomes, probs = zip(*script.forced)
-            for p in probs:
-                weights = weights * p
-            prefixes = np.column_stack([prefixes, *outcomes])
+        for outcome, p in script.forced:
+            weights = weights * p
+            columns.append(outcome)
         if script.open is None:
-            return prefixes, weights, result
+            return columns, weights, result
         rows, outcomes = np.nonzero(script.open >= qcore.MIN_BRANCH_PROB)
         weights = weights[rows] * script.open[rows, outcomes]
-        prefixes = np.column_stack([prefixes[rows], outcomes])
+        columns = [_read_only(column.take(rows)) for column in columns]
+        columns.append(_read_only(np.ascontiguousarray(outcomes)))
 
 
 def _session_round(cfg: SessionConfig, strategy: AttackStrategy, checking: set[int], rng):
@@ -521,6 +549,28 @@ class SessionLeaf(NamedTuple):
 _leaf = partial(tuple.__new__, SessionLeaf)
 
 
+def _rank(codes: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` of intp ``codes`` in
+    ``0..span-1``: the sorted distinct codes and each code's index among
+    them, bit for bit.
+
+    A span of at most ``RANK_SPAN`` codes per code is ranked without a
+    sort: a bool array marks the codes present, its ``flatnonzero`` is
+    the distinct codes, and a scatter of their ranks over the span is
+    gathered at each code, in time and memory linear in rows plus span.
+    A wider span is sorted by ``np.unique``, whose memory follows the
+    codes alone.
+    """
+    if span > RANK_SPAN * len(codes):
+        return np.unique(codes, return_inverse=True)
+    present = np.zeros(span, dtype=bool)
+    present[codes] = True
+    distinct = np.flatnonzero(present)
+    rank = np.empty(span, dtype=np.intp)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank.take(codes)
+
+
 def _fold(
     n: int, *columns: tuple[np.ndarray | None, Sequence], make=tuple
 ) -> tuple[np.ndarray, list]:
@@ -529,13 +579,13 @@ def _fold(
 
     Each column pairs n codes with the values they index; a column of one
     value may give None for codes.  Columns of more than one value fold
-    into the codes one at a time, and each fold renumbers the distinct
-    rows, so no code exceeds n times a column's number of values.
+    into the codes one at a time, and each fold ranks (``_rank``) the
+    distinct rows, so no code exceeds n times a column's number of values.
     """
     code, count = np.zeros(n, dtype=np.intp), min(n, 1)
     for column, values in columns:
         if len(values) > 1:
-            distinct, code = np.unique(code * len(values) + column, return_inverse=True)
+            distinct, code = _rank(code * len(values) + column, count * len(values))
             count = len(distinct)
     # Rows of one code hold equal values: build each tuple from any one.
     row_of = np.empty(count, dtype=np.intp)
@@ -553,13 +603,14 @@ def _rows(
     """The ``_fold`` of ``n`` histories' records, one (group, *values)
     tuple per group, with one empty history without groups.  Each field
     pairs a (groups, n) column of codes with the values they index; a
-    group's fields are one mixed-radix code per history, so equal records
-    are one shared tuple, and so are equal histories.
+    group's fields are one mixed-radix code per history, ranked
+    (``_rank``) over the product of the radices, so equal records are one
+    shared tuple, and so are equal histories.
     """
     radix = tuple(len(values) for _, values in fields)
     per_group = []
     for g, *codes in zip(group.tolist(), *(column for column, _ in fields)):
-        distinct, inverse = np.unique(np.ravel_multi_index(codes, radix), return_inverse=True)
+        distinct, inverse = _rank(np.ravel_multi_index(codes, radix), math.prod(radix))
         per_group.append((inverse, list(zip([g] * len(distinct), *(
             map(values.__getitem__, column.tolist())
             for (_, values), column in zip(fields, np.unravel_index(distinct, radix))
@@ -610,7 +661,7 @@ def enumerate_session_leaves(
         )
         return chk, enc, checked
 
-    prefixes, prob, (chk, enc, checked) = _replay(session)
+    columns, prob, (chk, enc, checked) = _replay(session)
     n = len(prob)
     checked_code, histories = _rows(n, chk.group, (chk.op, ENCODING_OPS), (chk.alice, BELL_KINDS),
                                     (chk.bob, BELL_KINDS), (chk.passed, (False, True)))
@@ -635,12 +686,14 @@ def enumerate_session_leaves(
     ))
     # A failed check ends the session, so its rows differ only in encoding
     # outcomes replayed after the check: each checking history is one leaf.
-    # The prefixes come in lexicographic order, so each such history is one
-    # run of rows.
+    # The histories come in lexicographic order, so each such history is
+    # one run of rows, which starts where a checking choice's outcome changes.
     failing = np.flatnonzero(~clean)
-    history = prefixes[failing, :checked]
-    starts = np.ones(len(failing), dtype=bool)
-    starts[1:] = (history[1:] != history[:-1]).any(axis=1)
+    starts = np.zeros(len(failing), dtype=bool)
+    starts[:1] = True
+    for column in columns[:checked]:
+        outcome = column.take(failing)
+        starts[1:] |= outcome[1:] != outcome[:-1]
     merged = np.bincount(np.cumsum(starts) - 1, prob[failing], np.count_nonzero(starts))
     leaves.extend(leaves_of(
         merged, (None, (Verdict.EVE_DETECTED,)), (None, ("",)),

@@ -337,7 +337,8 @@ def apply_single(
     With ``codes``, one int per batch row, ``op`` is a (K, 2, 2) table and
     row r gets ``op[codes[r]]``: a single state, or an indexed batch whose
     rows number ``INDEX_RATIO`` times its distinct states' K images, then
-    keeps those images as its distinct states.
+    keeps those images as its distinct states, indexed by a fresh copy of
+    ``codes`` for a single state.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (2, 2) or op.ndim != (2 if codes is None else 3):
@@ -348,7 +349,7 @@ def apply_single(
     if codes is not None:
         codes, k = np.asarray(codes, dtype=np.intp), len(op)
         if amps.ndim == 1 and k * INDEX_RATIO <= len(codes):
-            rows = codes  # the one state's K images are the distinct states
+            rows = codes.copy()  # the one state's K images are the distinct states
         elif rows is not None and len(amps) * k * INDEX_RATIO <= len(codes):
             # Every distinct state under every op, state major.
             op, rows = np.tile(op, (len(amps), 1, 1)), rows * k + codes

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -326,6 +327,63 @@ def test_leaves_match_per_row_tuples_past_an_int64_joint_code():
     assert len({id(leaf) for leaf in leaves}) == 30
 
 
+@given(data=st.data(), n=st.integers(0, 300), side=st.sampled_from(["marked", "at the rule", "sorted"]))
+@settings(max_examples=150, deadline=None)
+def test_rank_equals_unique(data, n, side):
+    # Spans of at most RANK_SPAN codes per code are ranked by marking,
+    # wider ones by np.unique; both give np.unique's arrays and dtypes.
+    rule = analysis.RANK_SPAN * n
+    span = {
+        "marked": lambda: data.draw(st.integers(min(n, 1), rule)),
+        "at the rule": lambda: rule,
+        "sorted": lambda: data.draw(st.integers(rule + 1, rule + 2**40)),
+    }[side]()
+    codes = np.array(
+        data.draw(st.lists(st.integers(0, max(span - 1, 0)), min_size=n, max_size=n)), dtype=np.intp
+    )
+    got, want = analysis._rank(codes, span), np.unique(codes, return_inverse=True)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype and a.shape == b.shape
+
+
+@pytest.mark.parametrize("span", [0, 1, 5])
+def test_rank_of_no_codes_equals_unique(span):
+    codes = np.zeros(0, dtype=np.intp)
+    for a, b in zip(analysis._rank(codes, span), np.unique(codes, return_inverse=True)):
+        assert a.tolist() == b.tolist() == [] and a.dtype == b.dtype
+
+
+def _four_choices(rng, write: bool):
+    """A branching choice, a forced one per distinct state (indexed by the
+    first outcome), a forced one alike in every row and another branching
+    one; with ``write``, tries to write into each outcome handed out."""
+
+    def handed(outcome):
+        if write:
+            with pytest.raises(ValueError, match="read-only"):
+                outcome[:] = 1
+        return outcome
+
+    first = handed(rng.choose(np.array([0.25, 0.75])))
+    other = handed(rng.choose(np.array([[0.0, 1.0], [1.0, 0.0]]), first))
+    one = handed(rng.choose(np.array([0.0, 1.0])))
+    last = handed(rng.choose(np.array([0.5, 0.5])))
+    return first * 8 + other * 4 + one * 2 + last
+
+
+def test_outcomes_handed_to_a_round_are_read_only():
+    columns, weights, result = analysis._replay(partial(_four_choices, write=True))
+    want = analysis._replay(partial(_four_choices, write=False))
+    assert np.column_stack(columns).tolist() == np.column_stack(want[0]).tolist() == [
+        [0, 1, 1, 0], [0, 1, 1, 1], [1, 0, 1, 0], [1, 0, 1, 1]
+    ]
+    assert weights.tolist() == want[1].tolist() == [0.125, 0.125, 0.375, 0.375]
+    assert result.tolist() == want[2].tolist() == [6, 7, 10, 11]
+    assert all(not column.flags.writeable and column.flags.c_contiguous for column in columns)
+    assert all(column.dtype == np.intp and column.shape == (4,) for column in columns)
+
+
 # Every strategy x predicate x target cell at two groups, and the cheap
 # strategies at three; all groups check.
 IID_CELLS = [
@@ -423,8 +481,8 @@ def test_replay_stop_signal_stays_inside_replay():
         second = rng.choose(np.array([0.5, 0.5]))
         return first * 2 + second
 
-    prefixes, weights, result = analysis._replay(round_fn)
-    assert prefixes.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    columns, weights, result = analysis._replay(round_fn)
+    assert np.column_stack(columns).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert weights.tolist() == [0.125, 0.125, 0.375, 0.375]
     assert result.tolist() == [0, 1, 2, 3]
 
@@ -464,7 +522,7 @@ def _script_weights(rows):
 @pytest.mark.parametrize("rows", [1, 16, 65536])
 def test_script_choice_matches_reference(rows):
     for name, probs in _script_weights(rows).items():
-        script = analysis._Script(np.zeros((rows, 0), dtype=np.intp))
+        script = analysis._Script([], rows)
         want = oracles.script_choice(rows, probs)
         try:
             outcome = script.choose(probs)
@@ -513,9 +571,9 @@ def _distinct_script_weights(rows):
 
 
 def _script_result(rows, *args):
-    """What a fresh script's first choice past empty prefixes does: its
+    """What a fresh script's first choice past no prefix columns does: its
     outcome or None if it branches, its ``forced`` and its ``open``."""
-    script = analysis._Script(np.zeros((rows, 0), dtype=np.intp))
+    script = analysis._Script([], rows)
     try:
         outcome = script.choose(*args)
     except analysis._Branching:

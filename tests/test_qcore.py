@@ -149,6 +149,18 @@ def test_apply_single_takes_a_matrix_or_a_table_with_codes():
         apply_single(pair, 4, np.eye(4))
 
 
+def test_apply_single_keeps_a_copy_of_the_codes():
+    """A single state under K * INDEX_RATIO codes or more is indexed by a
+    copy of them: writing into the caller's codes leaves it as it was."""
+    table = np.stack([U0, U1, U2, U3])
+    codes = np.random.default_rng(7).integers(0, 4, 4 * qcore.INDEX_RATIO).astype(np.intp)
+    out = apply_single(make_bell(BellKind.PSI_PLUS, 3, 4), 4, table, codes)
+    assert out.rows is not None and not np.shares_memory(out.rows, codes)
+    amps = out.per_row().amps
+    codes[:] = 0
+    assert np.array_equal(out.per_row().amps, amps)
+
+
 def test_apply_single_unknown_qubit():
     with pytest.raises(QubitError):
         apply_single(make_bell(BellKind.PSI_PLUS, 3, 4), 7, U2)
