@@ -661,11 +661,12 @@ class SessionTranscript:
 
 def _check_session(transcript: SessionTranscript) -> None:
     """Raise a ValueError naming a field unless the transcript's fields
-    agree as ``run_session`` writes them: groups indexed 1..n in order; one
-    checking record per checking-role group and, on a clean verdict only,
-    one encoding record per encoding-role group, each in index order; a
-    clean verdict exactly when every check passed; and ``decoded_bits`` the
-    decoding of the encoding records."""
+    agree as ``run_session`` writes them: groups indexed 1..n in order,
+    with Bob's qubit ids laid out by ``_slot_rule``; one checking record
+    per checking-role group and, on a clean verdict only, one encoding
+    record per encoding-role group, each in index order; a clean verdict
+    exactly when every check passed; and ``decoded_bits`` the decoding of
+    the encoding records."""
     groups, checking, encoding = transcript.groups, transcript.checking, transcript.encoding
     index = groups.index
     misplaced = np.flatnonzero(index != np.arange(1, len(index) + 1))
@@ -673,6 +674,15 @@ def _check_session(transcript: SessionTranscript) -> None:
         i = int(misplaced[0])
         raise ValueError(
             f"transcript field 'groups[{i}].index' is invalid: expected {i + 1}, got {index[i]}"
+        )
+    # Bob's slots do not depend on the attack, so the honest rule gives them.
+    step, base = _slot_rule((2, 4), 0, len(index))
+    bob = index[:, None] * step[:2] + base[:2]
+    if (groups.bob != bob).any():
+        i = int((groups.bob != bob).any(axis=1).argmax())
+        raise ValueError(
+            f"transcript field 'groups[{i}].bob' is invalid: "
+            f"expected {bob[i].tolist()}, got {groups.bob[i].tolist()}"
         )
     checks = groups.role == _CHECKING_ROLE
     _check_groups("checking", checking.group, index[checks])

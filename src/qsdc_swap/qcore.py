@@ -26,14 +26,26 @@ amplitudes of shape ``(B, 2**n)``, one state per row, or the batch's U
 distinct states as ``(U, 2**n)`` amplitudes plus ``rows``, a (B,) index
 naming each row's state.  A Bell measurement has at most four outcomes,
 so after a few of them many rows share a handful of states, and the
-operations below then run once per distinct state.  ``INDEX_RATIO`` sets
-when a batch keeps an index; ``per_row()`` and ``take(rows)`` read it row
-by row.  The operations accept single, per-row and indexed states alike.
-A measured batch keeps as its distinct states the (state, outcome)
-candidates its rows chose; a batch of drawn Bell kinds (``make_bell`` of
-an int array) is the four Bell states and the kinds as its index.  Each
-candidate is the same vector divided by the same square root, so
-``per_row()`` is bit for bit the batch that gathers one state per row.
+operations below then run once per distinct state; ``per_row()`` and
+``take(rows)`` read an index row by row.  The operations accept single,
+per-row and indexed states alike.
+
+Storage rule.  A step that would make U distinct states for B rows keeps
+them plus a row index exactly when ``U * INDEX_RATIO <= B``
+(``_indexes``); otherwise it holds one state per row.  The steps that
+can index, and their U: ``make_bell`` of an int array of kinds, the four
+Bell states; ``compose`` of two indexed batches, their U1 * U2 pairs;
+``apply_single`` with a table of K ops, the K images of a single state
+or the U * K images of an indexed batch's U states; and ``sample_bell``
+of a single or indexed state, the (state, outcome) candidates its rows
+chose, counted only where the rows have room for the four candidates
+one state gives.  The batch such a step makes from a per-row batch holds
+one state per row; a single state composed with a batch keeps the
+batch's form, and ``apply_cnot`` or a one-op ``apply_single`` keeps its
+input's.  Each candidate is the same vector divided by the same square
+root, so in every form ``per_row()`` is bit for bit the batch that
+gathers one state per row, and the round reads the same in each
+(``tests/test_storage_forms.py`` runs it at ratios 1, 16 and 10**12).
 
 Every random choice goes through one outcome hook, ``rng.choose(probs,
 rows=None)``, which gives the outcome that happens in each batch row, out
@@ -103,16 +115,20 @@ MAX_QUBITS = 12
 # Outcomes less likely than this are never drawn and never enumerated.
 MIN_BRANCH_PROB = 1e-12
 
-# A batch keeps its distinct states plus a row index only while its rows
-# number at least INDEX_RATIO times the states a step would make: the
-# (state, outcome) candidates its rows chose for a measurement, K per state
-# for a per-row op from a table of K, U1 * U2 for a composition.  Below
-# that it holds one state per row, so small batches (sessions of 4 and 32
-# groups, early enumeration passes) run as they would without an index.
-# Measured with ``perfbench/run.py --seconds 12`` on a 2-vCPU host, four
-# alternating pairs: sessions op_p50_ms read 0.655 at a ratio of 4 and
-# 0.636 at 16 (16 faster in three pairs), and exact leaves/s 205k and 204k.
+# The storage rule's ratio (module docstring), read by ``_indexes`` alone.
+# Small batches (sessions of 4 and 32 groups, early enumeration passes)
+# hold one state per row, as they would without an index.  Measured with
+# ``perfbench/run.py --seconds 12`` on a 2-vCPU host, four alternating
+# pairs: sessions op_p50_ms read 0.655 at a ratio of 4 and 0.636 at 16
+# (16 faster in three pairs), and exact leaves/s 205k and 204k.
 INDEX_RATIO = 16
+
+
+def _indexes(distinct: int, rows: int) -> bool:
+    """The storage rule (module docstring): whether ``rows`` batch rows
+    over ``distinct`` states keep those states plus a row index."""
+    return distinct * INDEX_RATIO <= rows
+
 
 class QubitError(ValueError):
     """Unknown, duplicate, or capacity-violating qubit ids."""
@@ -281,17 +297,30 @@ def make_bell(kind: BellKind | np.ndarray, a: int, b: int) -> StateVector:
     """Two-qubit Bell state of ``kind`` on the ordered pair ``(a, b)``.
 
     ``kind`` may also be an int array indexing ``BELL_KINDS``, which gives
-    the batch with one such state per entry.  From ``4 * INDEX_RATIO``
-    entries on, that batch is indexed: the four Bell states are its
-    distinct states and a fresh copy of ``kind`` is its row index.  Single
-    states are cached.
+    the batch with one such state per entry, stored by the storage rule
+    (module docstring) with a fresh copy of ``kind`` as its index; a kind
+    outside 0..3 raises ValueError.  Single states are cached.
     """
     if isinstance(kind, BellKind):
         return _bell_state(kind, a, b)
-    kinds = np.asarray(kind)
-    if kinds.ndim == 1 and 4 * INDEX_RATIO <= len(kinds):
-        return _trusted(_distinct(a, b), _BELL_VECTORS.copy(), kinds.astype(np.intp))
+    kinds = _codes(kind, 4, "Bell kinds")
+    if kinds.ndim == 1 and _indexes(4, len(kinds)):
+        return _trusted(_distinct(a, b), _BELL_VECTORS.copy(), kinds.copy())
     return _trusted(_distinct(a, b), _BELL_VECTORS[kinds])
+
+
+def _codes(codes, k: int, what: str) -> np.ndarray:
+    """``codes`` as an intp array of indices into a table of ``k``; a
+    ValueError naming ``what`` for any code outside 0..k-1."""
+    codes = np.asarray(codes)
+    if codes.dtype.kind in "biu":
+        codes = codes.astype(np.intp, copy=False)
+        # A negative code views as a huge unsigned one: one max checks both ends.
+        if codes.view(np.uintp).max(initial=0) < k:
+            return codes
+        bad = codes.flat[np.flatnonzero((codes < 0) | (codes >= k))[0]]
+        raise ValueError(f"{what} must be in 0..{k - 1}, got {bad}")
+    raise ValueError(f"{what} must be ints in 0..{k - 1}, got an array of {codes.dtype}")
 
 
 # The single-state cache, inspectable as on any lru_cache function.
@@ -308,9 +337,9 @@ def compose(s1: StateVector, s2: StateVector) -> StateVector:
     """Tensor product; qubit order is s1's followed by s2's.
 
     A single state composed with a batch is paired with every state in it,
-    and keeps the batch's row index.  Two indexed batches whose rows number
-    ``INDEX_RATIO`` times their pairs of distinct states compose every such
-    pair, s1's major; any other two batches compose row by row.
+    and keeps the batch's row index.  Two indexed batches that the storage
+    rule (module docstring) lets index compose every pair of their
+    distinct states, s1's major; any other two batches compose row by row.
     """
     qubits = s1.qubits + s2.qubits
     shared = set(s1.qubits).intersection(s2.qubits)
@@ -320,7 +349,7 @@ def compose(s1: StateVector, s2: StateVector) -> StateVector:
         raise QubitError(f"{len(qubits)} qubits exceeds the register cap of {MAX_QUBITS}")
     a1, a2, rows = s1.amps, s2.amps, s1.rows if s2.rows is None else s2.rows
     u1, u2 = len(a1), len(a2)
-    if s1.rows is not None and s2.rows is not None and u1 * u2 * INDEX_RATIO <= len(rows):
+    if s1.rows is not None and s2.rows is not None and _indexes(u1 * u2, len(rows)):
         # Every pair of distinct states, s1's major.
         a1, a2, rows = np.repeat(a1, u2, axis=0), np.tile(a2, (u1, 1)), s1.rows * u2 + s2.rows
     elif rows is not None and a1.ndim == a2.ndim == 2:  # an indexed batch and another batch
@@ -334,11 +363,13 @@ def apply_single(
 ) -> StateVector:
     """Apply a 2x2 unitary to qubit ``q``.
 
-    With ``codes``, one int per batch row, ``op`` is a (K, 2, 2) table and
-    row r gets ``op[codes[r]]``: a single state, or an indexed batch whose
-    rows number ``INDEX_RATIO`` times its distinct states' K images, then
-    keeps those images as its distinct states, indexed by a fresh copy of
-    ``codes`` for a single state.
+    With ``codes``, one int in 0..K-1 per batch row (any number of them
+    for a single state), ``op`` is a (K, 2, 2) table and row r gets
+    ``op[codes[r]]``; other codes raise ValueError.  A single state or an
+    indexed batch that the storage rule (module docstring) lets index
+    keeps the images of its distinct states under the K ops as its
+    distinct states, indexed by a fresh copy of ``codes`` for a single
+    state.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (2, 2) or op.ndim != (2 if codes is None else 3):
@@ -347,10 +378,14 @@ def apply_single(
         )
     amps, rows = state.amps, state.rows
     if codes is not None:
-        codes, k = np.asarray(codes, dtype=np.intp), len(op)
-        if amps.ndim == 1 and k * INDEX_RATIO <= len(codes):
+        codes, k = _codes(codes, len(op), "op codes"), len(op)
+        if codes.ndim != 1:
+            raise ValueError(f"op codes must be a 1-D array, got shape {codes.shape}")
+        if state.batch not in (None, len(codes)):
+            raise ValueError(f"{len(codes)} op codes for a batch of {state.batch} rows")
+        if amps.ndim == 1 and _indexes(k, len(codes)):
             rows = codes.copy()  # the one state's K images are the distinct states
-        elif rows is not None and len(amps) * k * INDEX_RATIO <= len(codes):
+        elif rows is not None and _indexes(len(amps) * k, len(codes)):
             # Every distinct state under every op, state major.
             op, rows = np.tile(op, (len(amps), 1, 1)), rows * k + codes
             amps = np.repeat(amps, k, axis=0)
@@ -468,10 +503,10 @@ def sample_bell(
     state is projected once, and each row's outcome is drawn from its
     state's probabilities: an indexed batch hands the hook one row of
     weights per distinct state and its row index.  A single state or an
-    indexed batch of ``4 * INDEX_RATIO`` rows or more keeps as its distinct
-    states the (state, outcome) candidates its rows chose, if the rows
-    number ``INDEX_RATIO`` times those, and the rows index them; any other
-    batch gathers one collapsed state per row.
+    indexed batch keeps as its distinct states the (state, outcome)
+    candidates its rows chose where the storage rule (module docstring)
+    lets it, and the rows index them; any other batch gathers one collapsed
+    state per row.
     """
     rest, projected, probs = _pair_projections(state, a, b)
     rows = state.rows
@@ -480,12 +515,13 @@ def sample_bell(
         at = chosen
     else:  # each row's own state, or the distinct state its index names
         at = (np.arange(len(chosen)) if rows is None else rows, chosen)
-    if (probs.ndim == 1 or rows is not None) and 4 * INDEX_RATIO <= len(chosen):
+    # Only rows with room for the four candidates one state gives count them.
+    if (probs.ndim == 1 or rows is not None) and _indexes(4, len(chosen)):
         # The (state, outcome) candidates the rows chose, in that order.
         outcome = chosen if rows is None else rows * 4 + chosen
         taken = np.bincount(outcome, minlength=probs.size).astype(bool)
         picked = np.flatnonzero(taken)
-        if len(picked) * INDEX_RATIO <= len(chosen):
+        if _indexes(len(picked), len(chosen)):
             at = picked if probs.ndim == 1 else np.divmod(picked, 4)
             candidate = (np.cumsum(taken) - 1)[outcome]
             return chosen, _collapse(rest, projected[at], probs[at], candidate)

@@ -5,7 +5,7 @@ Each row plants its fault with ``monkeypatch``.  A fault in a function is
 planted at every module binding of that function in the package, since
 ``from ... import`` copies the binding into the importing module.
 
-Two gates, each pinned per row as catching or missing the fault:
+Three gates, each pinned per row as catching or missing the fault:
 
 * the route gate: the tree route against the swap-algebra route, which
   agree to 1e-9 on working code (``tests/test_analysis.py``).  A row that
@@ -14,23 +14,40 @@ Two gates, each pinned per row as catching or missing the fault:
 * the honest Monte Carlo gate: ``monte_carlo(NONE, 256, 5)``, the
   honest channel, fails no announced-op check on working code.  A row
   pins the failures its fault gives there, or 0 where the gate misses it.
+* the storage-form gate (``tests/test_storage_forms.py``): the round's
+  leaves, Monte Carlo counts and session JSON are the same bytes at
+  every ``qcore.INDEX_RATIO`` on working code.  A row pins, for each
+  part that differs between the ratios, its number of differing
+  strategy x encode target cells (of 12), or nothing where the gate
+  misses the fault.
 
 Rows and the gates that catch them:
 
-* the check ignores the announced op: both gates;
+* the check ignores the announced op: the route and Monte Carlo gates;
 * the algebra route's correlation columns swapped: the route gate only,
   as the sampled round never reads the algebra route's table;
-* one decoding-table entry swapped: both gates;
+* one decoding-table entry swapped: the route and Monte Carlo gates;
 * the kept-candidate index of ``qcore._collapse`` shifted by one: the
-  honest Monte Carlo gate only.  The route gap stays that of working
-  code (5.6e-16), though the tree route's replays collapse through the
-  shifted index (10 calls in one pass of the gate).
+  Monte Carlo and storage-form gates.  The route gap stays that of
+  working code (5.6e-16), though the tree route's replays collapse
+  through the shifted index (10 calls in one pass of the gate); every
+  strategy's leaves differ between the ratios.
+* ``compose``'s indexed row code ``s1.rows * u2 - s2.rows``: the
+  storage-form gate only.  At ratio 1 the leaves and Monte Carlo counts
+  of the strategies that compose two indexed batches (replace-before,
+  both targets) raise ValueError in ``sample_bell``'s ``bincount``; at
+  the default ratio no batch of the round is large enough for that
+  composition, so neither other gate sees it.
+
+The faults of the first three rows act alike in every storage form, and
+the storage-form gate misses them.
 """
 
 import sys
 
 import pytest
 
+from test_storage_forms import differing, read_forms
 from qsdc_swap import bellmap, protocol, qcore
 from qsdc_swap.adversary import AttackStrategy
 from qsdc_swap.analysis import detection_from_swap_algebra, exact_detection, monte_carlo
@@ -90,6 +107,20 @@ def _shifted_candidate_index(monkeypatch) -> None:
     _rebind(monkeypatch, collapse, faulty)
 
 
+def _negative_pair_code(monkeypatch) -> None:
+    """``compose`` of two indexed batches codes each row's pair of
+    distinct states as ``s1.rows * u2 - s2.rows``, not ``+ s2.rows``."""
+    compose = qcore.compose
+
+    def faulty(s1, s2):
+        out = compose(s1, s2)
+        if out.rows is None or s1.rows is None or s2.rows is None:
+            return out
+        return qcore._trusted(out.qubits, out.amps, out.rows - 2 * s2.rows)
+
+    _rebind(monkeypatch, compose, faulty)
+
+
 def _route_gap() -> float:
     """The largest |tree - algebra| detection gap over every strategy x
     predicate cell."""
@@ -107,19 +138,26 @@ def _honest_failures() -> int:
 
 
 # Each row: how to plant the fault, the least route gap it must open (None
-# where the route gate misses it), and its honest Monte Carlo failures.
+# where the route gate misses it), its honest Monte Carlo failures, and
+# the parts that differ between storage forms with their differing cells.
 FAULTS = {
-    "check ignores the announced op": (_check_ignores_announced_op, 0.5, 190),
-    "algebra route's correlation columns swapped": (_swapped_algebra_columns, 0.5, 0),
-    "one decoding-table entry swapped": (_swapped_decode_entry, 0.124, 24),
-    "kept-candidate index shifted by one": (_shifted_candidate_index, None, 213),
+    "check ignores the announced op": (_check_ignores_announced_op, 0.5, 190, {}),
+    "algebra route's correlation columns swapped": (_swapped_algebra_columns, 0.5, 0, {}),
+    "one decoding-table entry swapped": (_swapped_decode_entry, 0.124, 24, {}),
+    "kept-candidate index shifted by one": (
+        _shifted_candidate_index, None, 213, {"leaves": 12, "monte carlo": 10, "session": 10}
+    ),
+    "compose's indexed row code subtracts": (
+        _negative_pair_code, None, 0, {"leaves": 2, "monte carlo": 2}
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    ("plant", "least_gap", "honest_failures"), FAULTS.values(), ids=FAULTS.keys()
+    ("plant", "least_gap", "honest_failures", "storage_forms"), FAULTS.values(), ids=FAULTS.keys()
 )
-def test_gates_catch_fault(monkeypatch, plant, least_gap, honest_failures):
+def test_gates_catch_fault(monkeypatch, plant, least_gap, honest_failures, storage_forms):
+    # The storage-form gate on working code is tests/test_storage_forms.py.
     assert _route_gap() < ROUTE_TOL and _honest_failures() == 0
     plant(monkeypatch)
     if least_gap is None:
@@ -127,3 +165,4 @@ def test_gates_catch_fault(monkeypatch, plant, least_gap, honest_failures):
     else:
         assert _route_gap() >= least_gap
     assert _honest_failures() == honest_failures
+    assert differing(read_forms(monkeypatch)[0]) == storage_forms

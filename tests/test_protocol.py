@@ -320,6 +320,25 @@ def test_transcript_group_indices_must_run_one_to_n(edit):
         SessionTranscript.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("strategy", AttackStrategy)
+def test_transcript_bob_ids_must_be_the_written_layout(strategy):
+    """Bob keeps 4g-3 and 4g-1 of group g whatever the attack: either id
+    of any group edited to -1, 0 or 10**6 is named."""
+    for seed in range(4):
+        doc = run_session(cfg(5, 2, bits="011001", seed=seed), strategy).to_json_dict()
+        SessionTranscript.from_json_dict(doc)
+        for i, group in enumerate(doc["groups"]):
+            for slot in (0, 1):
+                written = group["bob"][slot]
+                for value in (-1, 0, 10**6):
+                    group["bob"][slot] = value
+                    with pytest.raises(
+                        ValueError, match=re.escape(f"'groups[{i}].bob' is invalid")
+                    ):
+                        SessionTranscript.from_json_dict(doc)
+                group["bob"][slot] = written
+
+
 def test_transcript_names_first_bad_field_in_record_order():
     doc = run_session(cfg(3, 1, bits="0111", seed=21)).to_json_dict()
     doc["groups"][2]["index"] = "3"

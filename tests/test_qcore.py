@@ -161,6 +161,60 @@ def test_apply_single_keeps_a_copy_of_the_codes():
     assert np.array_equal(out.per_row().amps, amps)
 
 
+_TABLE = np.stack([U0, U1, U2, U3])
+
+
+def _code_batches():
+    """A single state, a per-row batch and an indexed batch of 64 rows."""
+    kinds = np.arange(64) % 4
+    return {
+        "single": make_bell(BellKind.PSI_PLUS, 3, 4),
+        "per-row": StateVector((3, 4), qcore._BELL_VECTORS[kinds]),
+        "indexed": make_bell(kinds, 3, 4),
+    }
+
+
+@pytest.mark.parametrize("form", ["single", "per-row", "indexed"])
+@pytest.mark.parametrize("bad", [-1, 4, 1 << 62])
+def test_apply_single_rejects_codes_outside_the_table(form, bad):
+    """A code outside 0..K-1 raises at the call in every storage form:
+    before, -1 applied U3 row by row, named another state's image of an
+    indexed batch, and became a negative row index of a single state."""
+    state = _code_batches()[form]
+    codes = np.zeros(64, dtype=np.intp)
+    codes[5] = bad
+    with pytest.raises(ValueError, match=f"op codes must be in 0..3, got {bad}"):
+        apply_single(state, 4, _TABLE, codes)
+    with pytest.raises(ValueError, match="op codes must be in 0..1"):
+        apply_single(state, 4, _TABLE[:2], np.full(64, 2))
+    with pytest.raises(ValueError, match="ints in 0..3, got an array of float64"):
+        apply_single(state, 4, _TABLE, np.zeros(64))
+
+
+@pytest.mark.parametrize("form", ["per-row", "indexed"])
+def test_apply_single_takes_one_code_per_batch_row(form):
+    state = _code_batches()[form]
+    for codes in (np.zeros(63, dtype=np.intp), np.zeros(65, dtype=np.intp)):
+        with pytest.raises(ValueError, match=f"{len(codes)} op codes for a batch of 64 rows"):
+            apply_single(state, 4, _TABLE, codes)
+    one_row = StateVector((3, 4), qcore._BELL_VECTORS[:1])
+    with pytest.raises(ValueError, match="3 op codes for a batch of 1 rows"):
+        apply_single(one_row, 4, _TABLE, np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="1-D array"):
+        apply_single(state, 4, _TABLE, np.zeros((64, 1), dtype=np.intp))
+    # A single state takes any number of codes: one row each.
+    assert apply_single(_code_batches()["single"], 4, _TABLE, np.array([0, 1, 2])).batch == 3
+
+
+@pytest.mark.parametrize("rows", [3, 64])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_make_bell_rejects_kinds_outside_bell_kinds(rows, bad):
+    kinds = np.zeros(rows, dtype=np.int32)
+    kinds[-1] = bad
+    with pytest.raises(ValueError, match=f"Bell kinds must be in 0..3, got {bad}"):
+        make_bell(kinds, 1, 2)
+
+
 def test_apply_single_unknown_qubit():
     with pytest.raises(QubitError):
         apply_single(make_bell(BellKind.PSI_PLUS, 3, 4), 7, U2)
@@ -459,8 +513,9 @@ def test_uniforms_choose_per_row_probabilities_match_scalar_choose():
     assert Uniforms(uniforms[4:5, None]).choose(at_min).tolist() == [0]
 
 
-# Row counts of small and large batches, 63 and 64 on either side of
-# 4 * INDEX_RATIO, from which a measurement keeps its chosen candidates.
+# Row counts of small and large batches, 63 and 64 on either side of the
+# 64 rows (``qcore._indexes(4, rows)``) from which a measurement counts the
+# candidates its rows chose.
 CHOOSE_ROWS = (1, 4, 63, 64, 2000)
 
 
