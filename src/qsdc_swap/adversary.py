@@ -21,11 +21,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import qcore
-from .bellmap import EncodingOp, invert_encoding
-from .qcore import BellKind
+from .bellmap import ENCODING_OPS, EncodingOp, invert_encoding
+from .qcore import BELL_KINDS, BellKind
 
 if TYPE_CHECKING:
+    from . import qcore
     from .protocol import Group, Register
 
 
@@ -52,6 +52,11 @@ class AttackStrategy(Enum):
 # does (verified by brute force in the test suite).
 CORRECTIVE_OP = EncodingOp.U1
 CORRECTION_TRIGGER = frozenset({BellKind.PSI_MINUS, BellKind.PHI_MINUS})
+
+
+def kind_in(kind: np.ndarray, kinds) -> np.ndarray:
+    """Whether each outcome, an int indexing BELL_KINDS, is one of ``kinds``."""
+    return np.array([k in kinds for k in BELL_KINDS])[kind]
 
 
 @dataclass
@@ -101,18 +106,15 @@ def apply_attack(
             # in the observed state.
             kind = register.measure_bell(t1, t2, rng)
             memory.known_kinds[g.index] = kind
-            fresh = register.allocate(2)
-            register.add(qcore.make_bell(kind, *fresh))
-            g.alice_qubits = fresh
+            g.alice_qubits = register.add_bell(kind)
         elif strategy in (
             AttackStrategy.REPLACE_MEASURE_AFTER,
             AttackStrategy.REPLACE_MEASURE_BEFORE,
         ):
             # Substitute halves of Eve's own plus-type pairs for the
             # travel photons; she keeps the other halves and the originals.
-            k1, f1, k2, f2 = register.allocate(4)
-            register.add(qcore.make_bell(BellKind.PSI_PLUS, k1, f1))
-            register.add(qcore.make_bell(BellKind.PSI_PLUS, k2, f2))
+            k1, f1 = register.add_bell(BellKind.PSI_PLUS)
+            k2, f2 = register.add_bell(BellKind.PSI_PLUS)
             memory.kept_originals[g.index] = (t1, t2)
             g.alice_qubits = (f1, f2)
             if strategy is AttackStrategy.REPLACE_MEASURE_BEFORE:
@@ -124,17 +126,16 @@ def apply_attack(
             else:
                 memory.kept_replacement[g.index] = (k1, k2)
         elif strategy in (AttackStrategy.ANCILLA_PASSIVE, AttackStrategy.ANCILLA_CORRECTIVE):
-            a1, a2 = register.allocate(2)
-            register.add(qcore.single_qubit(a1))
-            register.add(qcore.single_qubit(a2))
+            a1, a2 = register.add_zero(), register.add_zero()
             register.apply_cnot(t1, a1)
             register.apply_cnot(t2, a2)
             memory.ancilla_qubits[g.index] = (a1, a2)
             if strategy is AttackStrategy.ANCILLA_CORRECTIVE:
                 kind = register.measure_bell(a1, a2, rng)
                 memory.ancilla_outcomes[g.index] = kind
-                corrected = qcore.kind_in(kind, CORRECTION_TRIGGER)
-                register.apply_single(t1, np.stack((qcore.U0, CORRECTIVE_OP.matrix)), corrected)
+                corrected = kind_in(kind, CORRECTION_TRIGGER)
+                fix, keep = (ENCODING_OPS.index(op) for op in (CORRECTIVE_OP, EncodingOp.U0))
+                register.apply_single(t1, np.where(corrected, fix, keep))
                 memory.corrections[g.index] = corrected
         else:
             raise ValueError(f"unhandled strategy {strategy}")

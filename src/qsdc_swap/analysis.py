@@ -35,7 +35,7 @@ import numpy as np
 
 from . import adversary as adv
 from . import protocol, qcore
-from .adversary import CORRECTION_TRIGGER, CORRECTIVE_OP, AttackStrategy, EveMemory
+from .adversary import CORRECTION_TRIGGER, CORRECTIVE_OP, AttackStrategy, EveMemory, kind_in
 from .bellmap import (
     ENCODING_OPS,
     EncodingOp,
@@ -514,7 +514,7 @@ def detection_from_swap_algebra(
             [[BELL_KINDS.index(k) for k in row[:3]] for row in ANCILLA_EXPANSION]
         ).T
         if strategy is AttackStrategy.ANCILLA_CORRECTIVE:
-            corrected = qcore.kind_in(anc, CORRECTION_TRIGGER)
+            corrected = kind_in(anc, CORRECTION_TRIGGER)
             travel = np.where(corrected, encode[ENCODING_OPS.index(CORRECTIVE_OP), travel], travel)
         out, p = outside[ops, bob, encode[:, travel]], 0.125
     else:

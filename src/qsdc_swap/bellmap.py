@@ -240,17 +240,6 @@ def decode_op(bob: BellKind, alice: BellKind) -> EncodingOp:
     return ENCODING_OPS[_decode_map()[BELL_KINDS.index(bob), BELL_KINDS.index(alice)]]
 
 
-def _codes(name: str, value) -> np.ndarray:
-    """``value`` as an int array of codes in 0..3 (indices into BELL_KINDS
-    or ENCODING_OPS); a ValueError naming ``name`` for anything else."""
-    codes = np.asarray(value)
-    if codes.dtype.kind in "iu":
-        # A negative code views as a huge unsigned one: one max checks both ends.
-        if codes.astype(np.intp, copy=False).view(np.uintp).max(initial=0) <= 3:
-            return codes
-    raise ValueError(f"decoding needs {name} to be an int index array in 0..3, got {value!r}")
-
-
 def invert_encoding(bob: np.ndarray, alice: np.ndarray) -> np.ndarray:
     """``decode_op`` on int arrays indexing BELL_KINDS: an int array
     indexing ENCODING_OPS, one op per trial.  A code outside 0..3 or a
@@ -260,7 +249,7 @@ def invert_encoding(bob: np.ndarray, alice: np.ndarray) -> np.ndarray:
     kind, so the decoded op is also the one that carries ``bob``'s kind
     onto ``alice``'s.
     """
-    return _decode_map()[_codes("bob", bob), _codes("alice", alice)]
+    return _decode_map()[qcore._codes(bob, 4, "bob codes"), qcore._codes(alice, 4, "alice codes")]
 
 
 def is_correlated(op: np.ndarray, bob: np.ndarray, alice: np.ndarray) -> np.ndarray:
@@ -272,5 +261,5 @@ def is_correlated(op: np.ndarray, bob: np.ndarray, alice: np.ndarray) -> np.ndar
     op``.  Anything else, or a code outside 0..3, raises a ValueError
     naming the argument.
     """
-    op = _codes("op", op)
+    op = qcore._codes(op, 4, "op codes")
     return invert_encoding(bob, alice) == op

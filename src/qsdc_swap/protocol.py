@@ -243,6 +243,19 @@ class Register:
         self._next_qubit += k
         return ids
 
+    def add_bell(self, kind: BellKind | np.ndarray) -> tuple[int, int]:
+        """Add a pair on two fresh ids in the Bell state ``kind``, or one
+        kind per batch row as an int array indexing BELL_KINDS; the ids."""
+        a, b = self.allocate(2)
+        self.add(qcore.make_bell(kind, a, b))
+        return a, b
+
+    def add_zero(self) -> int:
+        """Add a qubit on a fresh id in |0>; the id."""
+        (q,) = self.allocate(1)
+        self.add(qcore.single_qubit(q))
+        return q
+
     def clone(self) -> "Register":
         other = object.__new__(Register)
         other._factors = dict(self._factors)
@@ -283,12 +296,12 @@ class Register:
         row if it is batched."""
         return self._factors[self._merge(qubits)].per_row()
 
-    def apply_single(self, q: int, op: np.ndarray, codes: np.ndarray | None = None) -> None:
-        """Apply the 2x2 ``op`` to ``q``; with ``codes``, one int per batch
-        row, ``op`` is a (K, 2, 2) table and row r gets ``op[codes[r]]``."""
+    def apply_single(self, q: int, codes: int | np.ndarray) -> None:
+        """Apply coding ops to ``q``: ``codes`` indexes ENCODING_OPS, one
+        int for every batch row or an int array of one per row."""
         self.touched.add(q)
         key = self._key_of(q)
-        self._factors[key] = qcore.apply_single(self._factors[key], q, op, codes)
+        self._factors[key] = qcore.apply_single(self._factors[key], q, OP_MATRICES, codes)
 
     def apply_cnot(self, control: int, target: int) -> None:
         self.touched.update((control, target))
@@ -345,10 +358,10 @@ def _pair_register(n_groups: int) -> Register:
 @lru_cache(maxsize=16)
 def _prepared_pairs(n_groups: int) -> Register:
     """The initial register of ``n_groups`` groups, which only ``clone`` reads."""
-    return Register(
-        qcore.make_bell(BellKind.PSI_PLUS, 2 * pair - 1, 2 * pair)
-        for pair in range(1, 2 * n_groups + 1)
-    )
+    register = Register()
+    for _ in range(2 * n_groups):
+        register.add_bell(BellKind.PSI_PLUS)
+    return register
 
 
 def partition_groups(n_groups: int, n_checking: int, rng: np.random.Generator) -> np.ndarray:
@@ -379,7 +392,7 @@ def run_checking(
     ops, alice = [], []
     for g in groups:
         ops.append(draw_op(policy, rng))
-        register.apply_single(g.travel_photon(encode_target), OP_MATRICES, ops[-1])
+        register.apply_single(g.travel_photon(encode_target), ops[-1])
         alice.append(register.measure_bell(*g.alice_qubits, rng))
     bob = [register.measure_bell(*g.bob_qubits, rng) for g in groups]
     op, alice, bob = (np.array(column, dtype=np.intp) for column in (ops, alice, bob))
@@ -424,12 +437,9 @@ def run_encoding(
         raise ValueError(f"no coding op for word {exc.args[0]!r}") from None
     ops = ops.reshape(len(messages), len(groups))
     alice = []
-    for i, g in enumerate(groups):
-        q = g.travel_photon(encode_target)
-        if single:
-            register.apply_single(q, OP_MATRICES[ops[0, i]])
-        else:
-            register.apply_single(q, OP_MATRICES, ops[:, i])
+    # One message codes every row alike: one op per group.
+    for g, codes in zip(groups, ops[0] if single else ops.T):
+        register.apply_single(g.travel_photon(encode_target), codes)
         alice.append(register.measure_bell(*g.alice_qubits, rng))
     bob = [register.measure_bell(*g.bob_qubits, rng) for g in groups]
     return EncodingRecords(_indices(groups), *(np.array(c, dtype=np.intp) for c in (alice, bob)))
@@ -662,11 +672,11 @@ class SessionTranscript:
 def _check_session(transcript: SessionTranscript) -> None:
     """Raise a ValueError naming a field unless the transcript's fields
     agree as ``run_session`` writes them: groups indexed 1..n in order,
-    with Bob's qubit ids laid out by ``_slot_rule``; one checking record
-    per checking-role group and, on a clean verdict only, one encoding
-    record per encoding-role group, each in index order; a clean verdict
-    exactly when every check passed; and ``decoded_bits`` the decoding of
-    the encoding records."""
+    with Bob's qubit ids laid out by ``_slot_rule`` and Alice's by one of
+    ``_alice_layouts``; one checking record per checking-role group and,
+    on a clean verdict only, one encoding record per encoding-role group,
+    each in index order; a clean verdict exactly when every check passed;
+    and ``decoded_bits`` the decoding of the encoding records."""
     groups, checking, encoding = transcript.groups, transcript.checking, transcript.encoding
     index = groups.index
     misplaced = np.flatnonzero(index != np.arange(1, len(index) + 1))
@@ -683,6 +693,16 @@ def _check_session(transcript: SessionTranscript) -> None:
         raise ValueError(
             f"transcript field 'groups[{i}].bob' is invalid: "
             f"expected {bob[i].tolist()}, got {groups.bob[i].tolist()}"
+        )
+    # Name the first misfit of the layout that fits the most groups.
+    layouts = _alice_layouts(len(index))
+    misfits = (groups.alice != layouts).any(axis=2)
+    layout = misfits.sum(axis=1).argmin()
+    if misfits[layout].any():
+        i = int(misfits[layout].argmax())
+        raise ValueError(
+            f"transcript field 'groups[{i}].alice' is invalid: "
+            f"expected {layouts[layout, i].tolist()}, got {groups.alice[i].tolist()}"
         )
     checks = groups.role == _CHECKING_ROLE
     _check_groups("checking", checking.group, index[checks])
@@ -758,19 +778,20 @@ def _field(entry, key: str, where: str, check):
 
 
 @lru_cache(maxsize=None)
-def attack_footprint(strategy: AttackStrategy) -> tuple[int, int]:
+def attack_footprint(strategy: AttackStrategy) -> tuple[int, int, tuple[int, int]]:
     """Uniforms drawn and fresh qubit ids allocated per group by
-    ``strategy``, counted by running its attack once on one group.
+    ``strategy``, and the travel slots it leaves the group, found by
+    running its attack once on a one-group session.
 
     Every strategy treats each group alike, so a session of G groups
     draws G times as many, group after group.  The one-row source counts
     the uniforms it hands out; which outcomes they pick does not matter.
     """
     source = qcore.TrialStreams(0, 0, 1)
-    register = _pair_register(1)
-    apply_attack(strategy, register, build_groups(1), source, EveMemory())
+    register, (group,) = _pair_register(1), build_groups(1)
+    apply_attack(strategy, register, [group], source, EveMemory())
     # the group holds ids 1-4, so Eve's ids start at 5
-    return source._drawn, register.allocate(1)[0] - 5
+    return source._drawn, register.allocate(1)[0] - 5, group.alice_qubits
 
 
 def run_session(cfg: SessionConfig, strategy=AttackStrategy.NONE) -> SessionTranscript:
@@ -785,7 +806,7 @@ def run_session(cfg: SessionConfig, strategy=AttackStrategy.NONE) -> SessionTran
     """
     n = cfg.n_groups
     rng = qcore.make_rng(cfg.seed)
-    draws, fresh = attack_footprint(strategy)
+    draws, fresh, _ = attack_footprint(strategy)
 
     register, (template,) = _pair_register(1), build_groups(1)
     apply_attack(
@@ -865,6 +886,23 @@ def _slot_rule(
     base = first - step
     step.flags.writeable = base.flags.writeable = False
     return step, base
+
+
+@lru_cache(maxsize=64)
+def _alice_layouts(n_groups: int) -> np.ndarray:
+    """The (L, n_groups, 2) ids of Alice's travel slots in each of the L
+    layouts ``run_session`` writes for ``n_groups`` groups: the distinct
+    ``_slot_rule``s of the slots and fresh ids each strategy's attack
+    leaves one group."""
+    index = np.arange(1, n_groups + 1)[:, None]
+    layouts = {}
+    for strategy in AttackStrategy:
+        _, fresh, alice = attack_footprint(strategy)
+        step, base = _slot_rule(alice, fresh, n_groups)
+        layouts[tuple(step[2:]), tuple(base[2:])] = index * step[2:] + base[2:]
+    stacked = np.stack(list(layouts.values()))
+    stacked.flags.writeable = False
+    return stacked
 
 
 def _no_records() -> tuple[CheckingRecords, EncodingRecords]:

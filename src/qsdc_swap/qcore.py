@@ -313,7 +313,7 @@ def _codes(codes, k: int, what: str) -> np.ndarray:
     """``codes`` as an intp array of indices into a table of ``k``; a
     ValueError naming ``what`` for any code outside 0..k-1."""
     codes = np.asarray(codes)
-    if codes.dtype.kind in "biu":
+    if codes.dtype.kind in "iu":
         codes = codes.astype(np.intp, copy=False)
         # A negative code views as a huge unsigned one: one max checks both ends.
         if codes.view(np.uintp).max(initial=0) < k:
@@ -363,13 +363,13 @@ def apply_single(
 ) -> StateVector:
     """Apply a 2x2 unitary to qubit ``q``.
 
-    With ``codes``, one int in 0..K-1 per batch row (any number of them
-    for a single state), ``op`` is a (K, 2, 2) table and row r gets
-    ``op[codes[r]]``; other codes raise ValueError.  A single state or an
-    indexed batch that the storage rule (module docstring) lets index
-    keeps the images of its distinct states under the K ops as its
-    distinct states, indexed by a fresh copy of ``codes`` for a single
-    state.
+    With ``codes``, ``op`` is a (K, 2, 2) table: one int in 0..K-1 picks
+    the op of every row, and an array of one int per batch row (any
+    number of them for a single state) gives row r ``op[codes[r]]``;
+    other codes raise ValueError.  A single state or an indexed batch
+    that the storage rule (module docstring) lets index keeps the images
+    of its distinct states under the K ops as its distinct states,
+    indexed by a fresh copy of ``codes`` for a single state.
     """
     op = np.asarray(op, dtype=complex)
     if op.shape[-2:] != (2, 2) or op.ndim != (2 if codes is None else 3):
@@ -379,11 +379,13 @@ def apply_single(
     amps, rows = state.amps, state.rows
     if codes is not None:
         codes, k = _codes(codes, len(op), "op codes"), len(op)
-        if codes.ndim != 1:
-            raise ValueError(f"op codes must be a 1-D array, got shape {codes.shape}")
-        if state.batch not in (None, len(codes)):
+        if codes.ndim == 0:
+            op = op[codes]  # one op for every row
+        elif codes.ndim != 1:
+            raise ValueError(f"op codes must be an int or a 1-D array, got shape {codes.shape}")
+        elif state.batch not in (None, len(codes)):
             raise ValueError(f"{len(codes)} op codes for a batch of {state.batch} rows")
-        if amps.ndim == 1 and _indexes(k, len(codes)):
+        elif amps.ndim == 1 and _indexes(k, len(codes)):
             rows = codes.copy()  # the one state's K images are the distinct states
         elif rows is not None and _indexes(len(amps) * k, len(codes)):
             # Every distinct state under every op, state major.
@@ -526,11 +528,6 @@ def sample_bell(
             candidate = (np.cumsum(taken) - 1)[outcome]
             return chosen, _collapse(rest, projected[at], probs[at], candidate)
     return chosen, _collapse(rest, projected[at], probs[at])
-
-
-def kind_in(kind: np.ndarray, kinds) -> np.ndarray:
-    """Whether each outcome, an int indexing BELL_KINDS, is one of ``kinds``."""
-    return np.array([k in kinds for k in BELL_KINDS])[kind]
 
 
 def overlap(s1: StateVector, s2: StateVector) -> complex:

@@ -264,7 +264,7 @@ def test_finalize_replace_after_enables_exact_guess():
         memory = EveMemory()
         apply_attack(AttackStrategy.REPLACE_MEASURE_AFTER, register, groups, rng, memory)
         op = ENCODING_OPS[seed % 4]
-        register.apply_single(groups[0].alice_qubits[1], op.matrix)
+        register.apply_single(groups[0].alice_qubits[1], seed % 4)
         alice = register.measure_bell(*groups[0].alice_qubits, rng)
         finalize_attack(register, groups, memory, rng)
         (guess,) = eve_guess_bits(memory, [1], np.array([alice]))[1]
@@ -272,12 +272,14 @@ def test_finalize_replace_after_enables_exact_guess():
 
 
 def test_attack_footprint_counts_draws_and_fresh_ids_per_group():
+    # Travel slots: the group's own (2, 4), a resent pair or the forwarded
+    # halves of Eve's two pairs.
     expected = {
-        AttackStrategy.NONE: (0, 0),
-        AttackStrategy.INTERCEPT_MEASURE_RESEND: (1, 2),
-        AttackStrategy.REPLACE_MEASURE_AFTER: (0, 4),
-        AttackStrategy.REPLACE_MEASURE_BEFORE: (2, 4),
-        AttackStrategy.ANCILLA_PASSIVE: (0, 2),
-        AttackStrategy.ANCILLA_CORRECTIVE: (1, 2),
+        AttackStrategy.NONE: (0, 0, (2, 4)),
+        AttackStrategy.INTERCEPT_MEASURE_RESEND: (1, 2, (5, 6)),
+        AttackStrategy.REPLACE_MEASURE_AFTER: (0, 4, (6, 8)),
+        AttackStrategy.REPLACE_MEASURE_BEFORE: (2, 4, (6, 8)),
+        AttackStrategy.ANCILLA_PASSIVE: (0, 2, (2, 4)),
+        AttackStrategy.ANCILLA_CORRECTIVE: (1, 2, (2, 4)),
     }
     assert {s: attack_footprint(s) for s in AttackStrategy} == expected

@@ -201,7 +201,7 @@ def test_decode_round_trips_all_pairs():
     ],
 )
 def test_is_correlated_rejects_all_but_index_codes(op, bob, alice, named):
-    with pytest.raises(ValueError, match=f"needs {named} to be"):
+    with pytest.raises(ValueError, match=f"{named} codes must be"):
         is_correlated(op, bob, alice)
 
 
@@ -217,7 +217,7 @@ def test_is_correlated_rejects_all_but_index_codes(op, bob, alice, named):
 def test_decoders_reject_codes_outside_the_table(bob, alice, named):
     # A negative code once wrapped: decode_message([-1, 2], [0, 2]) gave "1100".
     for decode in (invert_encoding, decode_message):
-        with pytest.raises(ValueError, match=f"needs {named} to be"):
+        with pytest.raises(ValueError, match=f"{named} codes must be"):
             decode(bob, alice)
 
 

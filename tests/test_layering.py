@@ -99,3 +99,56 @@ def test_load_time_imports_form_no_cycle():
     assert "protocol" not in graph["adversary"]
     ring = _cycle(graph)
     assert ring is None, " -> ".join(ring)
+
+
+# The kernel calls and tables that build states and op matrices.  The
+# round (Eve's attack and the protocol phases) reaches the kernel only
+# through ``Register``: Bell pairs, |0> ancillas and coding ops by code.
+KERNEL_NAMES = {"make_bell", "single_qubit", "OP_MATRICES"}
+
+
+def _kernel_names(tree: ast.AST) -> set[str]:
+    """The names of KERNEL_NAMES, ``qcore.apply_single`` and an op's
+    ``.matrix`` that code under ``tree`` reads."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in KERNEL_NAMES | {"apply_single"}:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in KERNEL_NAMES | {"matrix"}:
+            found.add(node.attr)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "apply_single"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "qcore"
+        ):
+            found.add("qcore.apply_single")
+    return found
+
+
+def test_adversary_imports_only_bell_kinds_from_qcore():
+    imported = set()
+    for node in _load_time_imports(TREES["adversary"]):
+        if "qcore" in _package_modules(node):
+            if isinstance(node, ast.ImportFrom) and node.module == "qcore":
+                imported.update(alias.name for alias in node.names)
+            else:
+                imported.add("qcore")
+    assert imported <= {"BellKind", "BELL_KINDS"}
+
+
+def test_the_round_builds_no_kernel_states_or_op_matrices():
+    """Not in ``adversary``, and not in ``protocol`` outside ``Register``
+    (``run_checking``, ``run_encoding``, ``_prepared_pairs`` and the rest),
+    whose methods are where codes become kernel calls."""
+    assert _kernel_names(TREES["adversary"]) == set()
+    protocol = TREES["protocol"]
+    (register,) = [n for n in protocol.body if getattr(n, "name", None) == "Register"]
+    outside = {
+        getattr(node, "name", f"line {node.lineno}"): _kernel_names(node)
+        for node in protocol.body
+        if node is not register
+    }
+    assert {name: found for name, found in outside.items() if found} == {}
+    assert {"run_checking", "run_encoding", "_prepared_pairs"} <= outside.keys()
+    assert _kernel_names(register) == KERNEL_NAMES | {"qcore.apply_single"}

@@ -14,7 +14,7 @@ import oracles
 from qsdc_swap import protocol, qcore
 from qsdc_swap.adversary import AttackStrategy
 from qsdc_swap.analysis import enumerate_session_leaves, monte_carlo
-from qsdc_swap.bellmap import ENCODING_OPS, OP_MATRICES, EncodingOp
+from qsdc_swap.bellmap import ENCODING_OPS, EncodingOp
 from qsdc_swap.protocol import (
     DetectionPredicate,
     EncodeTarget,
@@ -321,22 +321,25 @@ def test_transcript_group_indices_must_run_one_to_n(edit):
 
 
 @pytest.mark.parametrize("strategy", AttackStrategy)
-def test_transcript_bob_ids_must_be_the_written_layout(strategy):
-    """Bob keeps 4g-3 and 4g-1 of group g whatever the attack: either id
-    of any group edited to -1, 0 or 10**6 is named."""
+@pytest.mark.parametrize("field,slots", [("bob", (0, 1)), ("alice", (0,))])
+def test_transcript_qubit_ids_must_be_the_written_layout(field, slots, strategy):
+    """Bob keeps 4g-3 and 4g-1 of group g whatever the attack, and Alice's
+    slots follow one of the layouts sessions write: honest (4g-2, 4g),
+    resent (4n+2g-1, 4n+2g) or replaced (4n+4g-2, 4n+4g).  An id of any
+    group edited to -1, 0 or 10**6 is named."""
     for seed in range(4):
         doc = run_session(cfg(5, 2, bits="011001", seed=seed), strategy).to_json_dict()
         SessionTranscript.from_json_dict(doc)
         for i, group in enumerate(doc["groups"]):
-            for slot in (0, 1):
-                written = group["bob"][slot]
+            for slot in slots:
+                written = group[field][slot]
                 for value in (-1, 0, 10**6):
-                    group["bob"][slot] = value
+                    group[field][slot] = value
                     with pytest.raises(
-                        ValueError, match=re.escape(f"'groups[{i}].bob' is invalid")
+                        ValueError, match=re.escape(f"'groups[{i}].{field}' is invalid")
                     ):
                         SessionTranscript.from_json_dict(doc)
-                group["bob"][slot] = written
+                group[field][slot] = written
 
 
 def test_transcript_names_first_bad_field_in_record_order():
@@ -450,7 +453,7 @@ def test_register_enumerate_bell_leaves_parent_usable():
 def test_register_touched_audit():
     register, groups = prepare_registers(cfg(1, 1))
     register.touched.clear()
-    register.apply_single(2, EncodingOp.U1.matrix)
+    register.apply_single(2, ENCODING_OPS.index(EncodingOp.U1))
     register.measure_bell(2, 4, TrialStreams(1, 0, 1))
     assert register.touched == {2, 4}
 
@@ -522,13 +525,13 @@ def test_register_apply_single_codes_pick_ops_per_row():
     plus = make_bell(BellKind.PSI_PLUS, 1, 2)
     minus = make_bell(BellKind.PSI_MINUS, 1, 2)
     register = Register([plus])
-    table = np.stack((EncodingOp.U1.matrix, EncodingOp.U0.matrix))
-    register.apply_single(2, table, np.array([0, 1]))
+    u0, u1 = ENCODING_OPS.index(EncodingOp.U0), ENCODING_OPS.index(EncodingOp.U1)
+    register.apply_single(2, np.array([u1, u0]))
     amps = register.factor_state(1, 2).amps
     assert abs(abs(np.vdot(minus.amps, amps[0])) - 1.0) < 1e-12
     np.testing.assert_allclose(amps[1], plus.amps, atol=1e-15)
-    # without codes every row takes the op
-    register.apply_single(2, EncodingOp.U1.matrix)
+    # one code: every row takes its op
+    register.apply_single(2, u1)
     amps = register.factor_state(1, 2).amps
     assert abs(abs(np.vdot(plus.amps, amps[0])) - 1.0) < 1e-12
     assert abs(abs(np.vdot(minus.amps, amps[1])) - 1.0) < 1e-12
@@ -564,12 +567,12 @@ def _indexed_round(monkeypatch, ratio: int) -> tuple[list, dict, list]:
         assert np.array_equal(register.factor_state(*qubits).amps, states[stage][0])
 
     outcomes.append(register.measure_bell(2, 3, rng))
-    register.apply_single(4, OP_MATRICES, draw_op(UNIFORM_POLICY, rng))
-    register.apply_single(1, EncodingOp.U2.matrix)
+    register.apply_single(4, draw_op(UNIFORM_POLICY, rng))
+    register.apply_single(1, ENCODING_OPS.index(EncodingOp.U2))
     outcomes.append(register.measure_bell(6, 7, rng))
     snapshot("fanned", (1, 4))
     register.apply_cnot(4, 8)
-    register.apply_single(5, OP_MATRICES[:2], rng.choose([0.5, 0.5]))
+    register.apply_single(5, rng.choose([0.5, 0.5]))  # U0 or U1
     register.apply_cnot(1, 9)
     snapshot("merged", (1, 4, 5, 8, 9, 10))
     outcomes.append(register.measure_bell(4, 5, rng))

@@ -13,6 +13,12 @@ for every strategy x encode target:
 * the JSON of a 256-group session with 56 checking groups, whose
   attack measurements keep indexed candidates at the default ratio.
 
+It compares the same way the leaves of ``enumerate_session_leaves`` for
+replace-before with no checking group ("1010") and with group 1 checking
+("10"): besides ``(2, [1, 2], s)``, at several times the cost, the
+round's only calls whose ``compose`` pairs two indexed batches at the
+default ratio.
+
 Tests elsewhere pin which form one call returns; they are right to fail
 at other ratios, so only this file runs the round at them.  Ratio 1 must
 stay: with ``compose``'s indexed row code made ``s1.rows * u2 -
@@ -27,6 +33,7 @@ bytes.
 """
 
 import json
+import sys
 from collections import Counter, defaultdict
 
 from qsdc_swap import analysis, qcore
@@ -119,3 +126,31 @@ def test_every_rank_span_enumerates_the_same_leaves(monkeypatch):
         monkeypatch.setattr(analysis, "RANK_SPAN", span)
         leaves.append([enumerate_session_leaves(2, [1, 2], s) for s in AttackStrategy])
     assert leaves[0] == leaves[1] == leaves[2]
+
+
+# (checking groups, message bits) of the two-group enumerations above.
+ENUMERATIONS = (([], "1010"), ([1], "10"))
+
+
+def test_every_storage_form_enumerates_the_same_session_leaves(monkeypatch):
+    """The leaves' reprs, which print every weight exactly, are the same
+    bytes at every ratio, and ``compose`` pairs indexed batches at ratio
+    1 and at the default."""
+    rule, readings, paired = qcore._indexes, [], Counter()
+    for ratio in RATIOS:
+
+        def counted(distinct, rows, ratio=ratio):
+            chosen = rule(distinct, rows)
+            paired[ratio] += chosen and sys._getframe(1).f_code is qcore.compose.__code__
+            return chosen
+
+        monkeypatch.setattr(qcore, "INDEX_RATIO", ratio)
+        monkeypatch.setattr(qcore, "_indexes", counted)
+        readings.append([
+            repr(enumerate_session_leaves(
+                2, checking, AttackStrategy.REPLACE_MEASURE_BEFORE, message_bits=bits
+            )).encode()
+            for checking, bits in ENUMERATIONS
+        ])
+    assert readings[0] == readings[1] == readings[2]
+    assert paired[1] >= paired[RATIOS[1]] > 0 == paired[10**12]
